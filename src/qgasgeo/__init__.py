@@ -28,6 +28,7 @@ from .distributions import (
     ConvergenceError,
     LogMoments,
     boson_theta_sums,
+    cumulant_kernel,
     fermion_h_sums,
     log_moments,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "alpha",
     "boson_theta_sums",
     "closed_form_threshold",
+    "cumulant_kernel",
     "curvature_closed_form",
     "curvature_from_moments",
     "curvature_sign_boundary",

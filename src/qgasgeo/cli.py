@@ -17,10 +17,8 @@ aborting the sweep.
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -94,6 +92,17 @@ def _parse_values(parser, text, points, what):
                      f"use 'v1,v2,...' or 'lo:hi' with --points")
 
 
+def _rel_tol(text):
+    """--rel-tol value: a float in (0, 1), as QuadratureConfig requires."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 def _open_out(path):
     if path in (None, "-"):
         return nullcontext(sys.stdout)
@@ -145,13 +154,7 @@ def _run_curvature_sweep(args, parser, mode):
         qs = _parse_values(parser, args.q, args.points, "q")
         grid = [(q, z) for z in zs for q in qs]
     cfg = QuadratureConfig(rel_tol=args.rel_tol)
-
-    def one(point):
-        q, z = point
-        return _curvature_row(args.stat, args.dim, q, z, args.normalization, cfg)
-
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        rows = list(pool.map(one, grid))
+    rows = [_curvature_row(args.stat, args.dim, q, z, args.normalization, cfg) for q, z in grid]
 
     fieldnames = ["statistics", "D", "q", "z", "R_reduced", "normalization", "error"]
     _emit(rows, fieldnames, args.format, args.out, _metadata(args, mode))
@@ -311,7 +314,7 @@ def _add_common(sub, *, stat=None, dim=None, q=None, z=None, points=49):
                      help="grid size for LO:HI ranges (default %(default)s)")
     sub.add_argument("--normalization", choices=[NORM_PAPER, NORM_RAW], default=NORM_PAPER,
                      help="curvature normalization; paper = 2 x raw (default %(default)s)")
-    sub.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol",
+    sub.add_argument("--rel-tol", type=_rel_tol, default=1e-10, dest="rel_tol",
                      help="quadrature relative tolerance (default %(default)s)")
     sub.add_argument("--format", choices=["csv", "json"], default="csv",
                      help="output format (default %(default)s)")
@@ -339,7 +342,7 @@ def _build_parser():
     p = sub.add_parser("signtable", help="sign of R at small fugacity, standard q values")
     p.add_argument("--z", type=float, default=0.05,
                    help="fugacity at which signs are evaluated (default %(default)s)")
-    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol",
+    p.add_argument("--rel-tol", type=_rel_tol, default=1e-10, dest="rel_tol",
                    help="quadrature relative tolerance (default %(default)s)")
     p.add_argument("--format", choices=["csv", "json", "table"], default="table",
                    help="output format (default %(default)s)")

@@ -6,9 +6,14 @@ h(x, z) = 1 + 2 e^(-x) z + e^(-(q^-2 + 1) x) z^2.  All fugacity derivatives are
 taken with theta = z d/dz = -d/dgamma, so the four moment integrands
 L_k = theta^k ln F are positive cumulants of the occupation number:
 L1 is a mean, L2 a variance, L3 a third cumulant.
+
+`cumulant_kernel(spec, z)` is the one integrand evaluator: it returns a
+function of x giving (L0, L1, L2, L3), built from the excess sums
+(F0 - 1, F1, F2, F3) of `BosonThetaSeries` or of the fermion closed form.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +24,7 @@ __all__ = [
     "ConvergenceError",
     "LogMoments",
     "boson_theta_sums",
+    "cumulant_kernel",
     "fermion_h_sums",
     "log_moments",
 ]
@@ -28,6 +34,12 @@ __all__ = [
 # tolerances (1e-12 absolute) require.
 SERIES_TOL = 1e-16
 MAX_TERMS = 10 ** 6
+
+# e^(-t) rounds to exactly 0.0 in double precision for t >= 746.
+_EXP_ZERO = 746.0
+# e^t rounds to exactly 1.0 for 0 <= t < 1e-17 (half an ulp of 1 is 1.1e-16).
+_SATURATED_INV = 1e17
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class ConvergenceError(RuntimeError):
@@ -49,8 +61,19 @@ class BosonThetaSeries:
     The term count M is fixed once per (z, q, tol) from the x = 0 worst case
     of the heaviest series (k = 3): summation stops when the current term is
     below tol times the running sum and the term ratio has fallen below 1.
-    Every x > 0 only damps the terms further, so the same M is sufficient
-    across the integration range.
+    Every x > 0 only damps the terms, so M bounds the series at every
+    abscissa.  Each abscissa then evaluates only what it needs:
+
+    * q > 1: {m} grows like q^(2m), so from
+      k(x) = floor(log1p(746 (q^2 - 1) / x) / (2 ln q)) + 2 on every term has
+      x{m} >= 746 and e^(-x{m}) is exactly 0.0; only the first k(x) terms
+      are summed, in one product of the k(x) exponentials with the stacked
+      weights (m+1) m^k z^m, k = 0..3.
+    * q < 1: {m} rises to {inf} = 1/(1 - q^2).  From the k(x) where
+      x ({inf} - {m}) < 1e-17 on, e^(-x{m}) equals e^(-x{inf}) to double
+      precision, so that tail is a precomputed weight sum times one
+      exponential; the head is summed as for q > 1.
+    * q = 1: closed forms in w = z e^(-x), from sum (m+1) w^m = (1 - w)^(-2).
     """
 
     def __init__(self, z, q, tol=SERIES_TOL, max_terms=MAX_TERMS):
@@ -61,7 +84,8 @@ class BosonThetaSeries:
         M = 64
         while True:
             m = np.arange(M, dtype=float)
-            t3 = (m + 1.0) * m ** 3 * z ** m
+            zm = z ** m
+            t3 = (m + 1.0) * m ** 3 * zm
             s = t3.sum()
             if t3[-1] == 0.0 or (t3[-1] < tol * s and t3[-1] < t3[-2]):
                 break
@@ -71,23 +95,65 @@ class BosonThetaSeries:
                     f"(z = {z}, q = {q}, tol = {tol})")
             M = min(2 * M, max_terms)
         self._m = m
-        self._m2 = m * m
-        self._m3 = m ** 3
-        self._w = (m + 1.0) * z ** m
-        self._br = np.asarray(q_bracket(m, q))  # may hold inf for large q
+        if q == 1.0:
+            return
+        log_q2 = 2.0 * math.log(q)
+        if q > 1.0:
+            self._cut_scale = _EXP_ZERO * math.expm1(log_q2)
+            self._cut_rate = 1.0 / log_q2
+            # past K, q^(2m) > 1.8e308 and {m} = inf: the term is 0.0 at every x > 0
+            K = int(_LOG_MAX * self._cut_rate) + 2
+        else:
+            self._br_inf = -1.0 / math.expm1(log_q2)  # {m} as m -> inf
+            self._cut_log = math.log(_SATURATED_INV * self._br_inf)
+            self._cut_rate = -1.0 / log_q2
+            # the head is longest at the largest x
+            K = int((_LOG_MAX + self._cut_log) * self._cut_rate) + 2
+        K = self._k_max = min(K, M)
+        self._br = np.asarray(q_bracket(m[:K], q))  # may end in inf for q > 1
+        # Only the first K terms can be in a head.  Row k of W holds the
+        # weights (m+1) m^k z^m; the tail sums T[n] = sum_{m >= n} W[:, m],
+        # n <= K, are accumulated in extended precision, and T[0] serves x = 0.
+        W = np.ones((4, M))
+        for k in range(1, 4):
+            np.multiply(W[k - 1], m, out=W[k])  # m^k, exact while m^3 < 2^53
+        W *= (m + 1.0) * zm
+        W[0, 0] = 0.0  # the m = 0 term is 1 in F0, so F0 - 1 leaves it out
+        self._weights = W[:, :K].T.copy()
+        rest = W[:, K:].sum(axis=1)
+        self._tails = np.empty((K + 1, 4))
+        self._tails[K] = rest
+        head = np.cumsum(W[:, K - 1::-1], axis=1, dtype=np.longdouble)  # from m = K - 1 down
+        self._tails[:K] = (rest[:, None] + head)[:, ::-1].T
+
+    def cut(self, x):
+        """Head length k(x) at x > 0 and q != 1 (see the class docstring)."""
+        K = self._k_max
+        if self.q > 1.0:
+            # 746 (q^2 - 1) / x may overflow to inf; min() then keeps K
+            t = math.log1p(self._cut_scale / x) * self._cut_rate
+        else:
+            t = max((math.log(x) + self._cut_log) * self._cut_rate, -2.0)
+        return min(int(min(t, K)) + 2, K)
 
     def excess_sums(self, x):
         """(F0 - 1, F1, F2, F3) at scalar x >= 0; F0 - 1 omits the m = 0 term."""
         if x < 0:
             raise DomainError(f"x must be >= 0, got {x!r}")
-        if x > 0:
-            # x * inf = inf and exp(-inf) = 0 implement the large-bracket
-            # cutoff (x {m} > 745 underflows) without special-casing.
-            with np.errstate(over="ignore"):
-                t = self._w * np.exp(-x * self._br)
-        else:
-            t = self._w
-        return t[1:].sum(), t @ self._m, t @ self._m2, t @ self._m3
+        if self.q == 1.0:
+            w = self.z * math.exp(-x)
+            r = 1.0 / (1.0 - w)
+            # F0 - 1 = (1 - w)^(-2) - 1, written without the cancellation at small w
+            return (w * (2.0 - w) * r * r, 2.0 * w * r ** 3,
+                    2.0 * w * (1.0 + 2.0 * w) * r ** 4,
+                    2.0 * w * (1.0 + w * (7.0 + 4.0 * w)) * r ** 5)
+        if x == 0:
+            return tuple(self._tails[0].tolist())
+        k = self.cut(x)
+        sums = np.dot(np.exp(-x * self._br[:k]), self._weights[:k])
+        if self.q < 1.0:
+            sums += self._tails[k] * math.exp(-x * self._br_inf)
+        return tuple(sums.tolist())
 
     def sums(self, x):
         s0, f1, f2, f3 = self.excess_sums(x)
@@ -103,24 +169,29 @@ def boson_theta_sums(x, z, q, tol=SERIES_TOL, max_terms=MAX_TERMS):
     return BosonThetaSeries(z, q, tol, max_terms).sums(x)
 
 
-def _fermion_excess(x, z, q):
-    """(u, v) with h = 1 + u + v, u = 2 z e^(-x), v = z^2 e^(-(q^-2 + 1) x)."""
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    u = 2.0 * z * math.exp(-x)
-    v = z * z * math.exp(-(q ** -2 + 1.0) * x)
-    return u, v
+def _fermion_excess_sums(z, q):
+    """x -> (h - 1, F1, F2, F3) with h = 1 + u + v, u = 2 z e^(-x),
+    v = z^2 e^(-(q^-2 + 1) x); the z-power m contributes m^k under theta."""
+    rate = q ** -2 + 1.0
+
+    def excess_sums(x):
+        if x < 0:
+            raise DomainError(f"x must be >= 0, got {x!r}")
+        u = 2.0 * z * math.exp(-x)
+        v = z * z * math.exp(-rate * x)
+        return u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v
+
+    return excess_sums
 
 
 def fermion_h_sums(x, z, q):
     """Fermion sums (F0, F1, F2, F3) from the closed three-term form of h.
 
-    The z-power m contributes m^k under theta, so
     F0 = 1 + 2 e^(-x) z + e^(-(q^-2 + 1) x) z^2 and
     F_k = 2 e^(-x) z + 2^k e^(-(q^-2 + 1) x) z^2 for k >= 1.
     """
-    u, v = _fermion_excess(x, z, q)
-    return 1.0 + u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v
+    s0, f1, f2, f3 = _fermion_excess_sums(z, q)(x)
+    return 1.0 + s0, f1, f2, f3
 
 
 def _cumulants(excess0, f1, f2, f3):
@@ -134,16 +205,27 @@ def _cumulants(excess0, f1, f2, f3):
     )
 
 
-def log_moments(spec, x, z, tol=SERIES_TOL):
-    """LogMoments of the integrand F (f for bosons, h for fermions) at (x, z).
+def cumulant_kernel(spec, z, tol=SERIES_TOL):
+    """Integrand of the moment integrals: x -> np.array([L0, L1, L2, L3]).
 
+    F is f for bosons and h for fermions, and
     L0 = ln F0, L1 = F1/F0, L2 = F2/F0 - (F1/F0)^2,
     L3 = F3/F0 - 3 F1 F2 / F0^2 + 2 (F1/F0)^3.
+    Raises DomainError outside the physical domain and, for bosons,
+    ConvergenceError as BosonThetaSeries does.
     """
     validate_domain(spec, ThermoPoint(z=z))
     if spec.statistics == BOSON:
-        s0, f1, f2, f3 = BosonThetaSeries(z, spec.q, tol).excess_sums(x)
+        excess_sums = BosonThetaSeries(z, spec.q, tol).excess_sums
     else:
-        u, v = _fermion_excess(x, z, spec.q)
-        s0, f1, f2, f3 = u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v
-    return _cumulants(s0, f1, f2, f3)
+        excess_sums = _fermion_excess_sums(z, spec.q)
+
+    def kernel(x):
+        return np.array(_cumulants(*excess_sums(x)))
+
+    return kernel
+
+
+def log_moments(spec, x, z, tol=SERIES_TOL):
+    """LogMoments of the integrand F (f for bosons, h for fermions) at (x, z)."""
+    return LogMoments(*cumulant_kernel(spec, z, tol)(x).tolist())

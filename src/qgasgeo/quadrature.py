@@ -1,7 +1,11 @@
 """Reduced moment integrals a, b, c, d = int_0^inf x^nu L_k(x) dx, k = 0..3.
 
-The four integrals are evaluated in one adaptive pass with a vector-valued
-integrand so the series sums are shared per abscissa.  For D = 3 the
+The four integrals are evaluated in one adaptive pass with the vector-valued
+integrand `distributions.cumulant_kernel`, so the four share one evaluation
+of the sums per abscissa.  That kernel sums a boson series only as far as the
+abscissa needs it: at q > 1 the terms past an x-dependent index are exactly
+zero, at q < 1 they form a precomputed tail, and q = 1 has closed forms (see
+`BosonThetaSeries`).  For D = 3 the
 substitution x = u^2 removes the x^(1/2) endpoint factor and makes the
 integrand analytic at the origin; for D = 2 the integrand is already smooth.
 The infinite tail is cut at x_max where the k = 0 integrand has fallen below
@@ -17,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from .core import BOSON, GasSpec, ThermoPoint, validate_domain
-from .distributions import BosonThetaSeries, _cumulants, _fermion_excess
+from .distributions import cumulant_kernel
 
 __all__ = [
     "MomentSet",
@@ -74,23 +78,6 @@ class MomentSet:
         return iter((self.a, self.b, self.c, self.d))
 
 
-def _log_moment_fn(spec, z):
-    """Scalar-x function returning np.array([L0, L1, L2, L3])."""
-    if spec.statistics == BOSON:
-        series = BosonThetaSeries(z, spec.q)
-
-        def lfun(x):
-            return np.array(_cumulants(*series.excess_sums(x)))
-    else:
-        q = spec.q
-
-        def lfun(x):
-            u, v = _fermion_excess(x, z, q)
-            return np.array(_cumulants(u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v))
-
-    return lfun
-
-
 def _tail_cutoff(lfun, nu, z, cfg):
     # leading tail is 2 z e^(-x) for both statistics
     x_max = math.log(max(2.0 * z, 2.0) / cfg.abs_tol) + cfg.x_max_pad
@@ -112,8 +99,7 @@ def moment_integrals(spec, z, cfg=None):
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    validate_domain(spec, ThermoPoint(z=z))
-    lfun = _log_moment_fn(spec, z)
+    lfun = cumulant_kernel(spec, z)
     x_max = _tail_cutoff(lfun, spec.nu, z, cfg)
 
     if spec.dimension == 3:

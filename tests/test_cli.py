@@ -137,6 +137,8 @@ class TestExitCodes:
         ["curvature-z", "--dim", "4"],
         ["curvature-z", "--z", "0.1:0.9", "--points", "1"],
         [],
+        ["curvature-z", "--rel-tol", "0"],
+        ["signtable", "--rel-tol", "-1"],
     ])
     def test_usage_errors_exit_1(self, argv):
         with pytest.raises(SystemExit) as err:

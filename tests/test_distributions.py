@@ -12,7 +12,9 @@ from qgasgeo import (
     boson_theta_sums,
     fermion_h_sums,
     log_moments,
+    q_bracket,
 )
+from qgasgeo.distributions import BosonThetaSeries
 
 
 class TestBosonThetaSums:
@@ -139,3 +141,81 @@ class TestLogMoments:
             assert L.L0 >= 0.0
             assert L.L1 > 0.0
             assert L.L2 >= 0.0
+
+
+def _raw_excess_sums(z, q, x, M):
+    """(F0 - 1, F1, F2, F3) as plain exactly-rounded sums of the first M terms."""
+    m = np.arange(M, dtype=float)
+    with np.errstate(over="ignore"):
+        t = (m + 1.0) * z ** m * np.exp(-x * np.asarray(q_bracket(m, q)))
+    return (math.fsum(t[1:]), math.fsum(t * m), math.fsum(t * m * m), math.fsum(t * m ** 3))
+
+
+class TestKernelTruncation:
+    """BosonThetaSeries sums only what each abscissa needs (per-x cut, closed q = 1 form)."""
+
+    @pytest.mark.parametrize("w", [1e-12, 1e-6, 0.01, 0.3, 0.9, 0.999])
+    def test_q1_closed_form_matches_raw_series(self, w):
+        series = BosonThetaSeries(w, 1.0)
+        got = series.excess_sums(0.0)
+        want = _raw_excess_sums(w, 1.0, 0.0, len(series._m))
+        for g, v in zip(got, want):
+            assert g == pytest.approx(v, rel=1e-14, abs=0.0)
+        # and at x > 0, where w = z e^(-x)
+        got = BosonThetaSeries(0.9999, 1.0).excess_sums(-math.log(w / 0.9999))
+        for g, v in zip(got, want):
+            assert g == pytest.approx(v, rel=1e-14, abs=0.0)
+
+    def test_q1_excess_without_cancellation(self):
+        # (1 - w)^(-2) - 1 would lose about 5e-5 relative at w = 1e-12
+        w = 1e-12
+        s0 = BosonThetaSeries(w, 1.0).excess_sums(0.0)[0]
+        assert s0 == pytest.approx(2.0 * w + 3.0 * w * w, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1.01, 1.15, 2.0, 1000.0])
+    @pytest.mark.parametrize("z", [0.05, 0.999])
+    def test_q_above_1_cut_drops_only_zeros(self, q, z):
+        series = BosonThetaSeries(z, q)
+        M = len(series._m)
+        m = np.arange(M, dtype=float)
+        br = np.asarray(q_bracket(m, q))
+        for x in np.geomspace(1e-8, 50.0, 25):
+            x = float(x)
+            k = series.cut(x)
+            with np.errstate(over="ignore"):
+                assert np.all(np.exp(-x * br[k:]) == 0.0)
+            for g, v in zip(series.excess_sums(x), _raw_excess_sums(z, q, x, M)):
+                assert g == pytest.approx(v, rel=1e-14, abs=0.0)
+
+    def test_cut_survives_overflowing_ratio(self):
+        # 746 (q^2 - 1) / x overflows a float here
+        series = BosonThetaSeries(0.5, 1000.0)
+        x = 5e-324
+        want = _raw_excess_sums(0.5, 1000.0, x, len(series._m))
+        for g, v in zip(series.excess_sums(x), want):
+            assert g == pytest.approx(v, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("z", [0.9, 0.99])
+    def test_q_below_1_tail_matches_mpmath(self, q, z):
+        # head plus closed tail against the raw series at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        series = BosonThetaSeries(z, q)
+        with mpmath.workdps(30):
+            zq, qq = mpmath.mpf(z), mpmath.mpf(q)
+            for x in (1e-6, 0.01, 1.0, 30.0):
+                got = series.excess_sums(x)
+                xm = mpmath.mpf(x)
+                want = [mpmath.mpf(0)] * 4
+                zm = mpmath.mpf(1)
+                q2m = mpmath.mpf(1)
+                for m in range(len(series._m)):
+                    t = (m + 1) * zm * mpmath.exp(-xm * (1 - q2m) / (1 - qq * qq))
+                    want[0] += t if m else 0
+                    want[1] += t * m
+                    want[2] += t * m * m
+                    want[3] += t * m ** 3
+                    zm *= zq
+                    q2m *= qq * qq
+                for g, v in zip(got, want):
+                    assert g == pytest.approx(float(v), rel=1e-14, abs=0.0)

@@ -7,6 +7,7 @@ curvature is in units of lambda^D / volume and depends only on (z, q, D).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +19,19 @@ __all__ = [
     "GasSpec",
     "ReducedUnits",
     "ThermoPoint",
+    "bisect",
     "q_bracket",
     "validate_domain",
 ]
 
 BOSON = "boson"
 FERMION = "fermion"
+
+# e^t overflows a double for t > LOG_MAX
+LOG_MAX = math.log(sys.float_info.max)
+# relative term of the bisection stopping rule: 4 ulps of the midpoint
+_BISECT_RTOL = 4.0 * sys.float_info.epsilon
+_BISECT_STEPS = 100
 
 
 class DomainError(ValueError):
@@ -95,7 +103,9 @@ def q_bracket(x, q):
 
     Evaluated as expm1(2 x ln q) / expm1(2 ln q), which is exact for every
     q != 1 including q within rounding distance of 1; the q = 1 limit {x} = x
-    is returned directly.  Accepts scalar or array x.
+    is returned directly.  Above q = sqrt(float max), where expm1(2 ln q)
+    overflows, the same ratio is taken as e^(t (x - 1)) expm1(-t x) / expm1(-t)
+    with t = 2 ln q.  Accepts scalar or array x.
 
     >>> q_bracket(3, 1.0)
     3.0
@@ -112,7 +122,10 @@ def q_bracket(x, q):
         # q > 1 with large x overflows to inf, which downstream exponentials
         # correctly map to e^(-x {m}) = 0.
         with np.errstate(over="ignore"):
-            out = np.expm1(xarr * t) / math.expm1(t)
+            if t > LOG_MAX:
+                out = np.exp(t * (xarr - 1.0)) * np.expm1(-t * xarr) / math.expm1(-t)
+            else:
+                out = np.expm1(xarr * t) / math.expm1(t)
     return out if out.ndim else float(out)
 
 
@@ -136,3 +149,25 @@ def validate_domain(spec, point):
         raise DomainError(
             f"boson fugacity must satisfy z < 1 (series domain), got z = {point.z!r}")
     return None
+
+
+def bisect(f, a, b, fa, xtol):
+    """Root of f on [a, b] by bisection, given fa = f(a) and a sign change on [a, b].
+
+    Halves the step dm = b - a; the midpoint a + dm replaces a whenever f
+    there has the sign of fa (or is 0).  Returns the midpoint once f vanishes
+    there or |dm| < xtol + 4 eps |midpoint|.  Raises RuntimeError when f
+    returns NaN or after 100 halvings.
+    """
+    dm = b - a
+    for _ in range(_BISECT_STEPS):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if math.isnan(fm):
+            raise RuntimeError(f"bisection: f({xm!r}) is NaN")
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection not converged in {_BISECT_STEPS} steps (xtol = {xtol})")

@@ -8,17 +8,19 @@ L_k = theta^k ln F are positive cumulants of the occupation number:
 L1 is a mean, L2 a variance, L3 a third cumulant.
 
 `cumulant_kernel(spec, z)` is the one integrand evaluator: it returns a
-function of x giving (L0, L1, L2, L3), built from the excess sums
-(F0 - 1, F1, F2, F3) of `BosonThetaSeries` or of the fermion closed form.
+function that maps an array of abscissae x to the rows (L0, L1, L2, L3),
+built from the excess sums (F0 - 1, F1, F2, F3) of `BosonThetaSeries` or of
+the fermion closed form.  Scalar entry points (`log_moments`,
+`boson_theta_sums`, `fermion_h_sums`) pass a one-element array through the
+same code.
 """
 
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import BOSON, DomainError, ThermoPoint, q_bracket, validate_domain
+from .core import BOSON, LOG_MAX, DomainError, ThermoPoint, q_bracket, validate_domain
 
 __all__ = [
     "ConvergenceError",
@@ -39,7 +41,9 @@ MAX_TERMS = 10 ** 6
 _EXP_ZERO = 746.0
 # e^t rounds to exactly 1.0 for 0 <= t < 1e-17 (half an ulp of 1 is 1.1e-16).
 _SATURATED_INV = 1e17
-_LOG_MAX = math.log(sys.float_info.max)
+# An array of abscissae is evaluated in row blocks whose exponential matrix
+# holds at most this many elements (a batch near q = 1 can need 8,192 columns).
+_BLOCK = 2 ** 20
 
 
 class ConvergenceError(RuntimeError):
@@ -74,6 +78,11 @@ class BosonThetaSeries:
       precision, so that tail is a precomputed weight sum times one
       exponential; the head is summed as for q > 1.
     * q = 1: closed forms in w = z e^(-x), from sum (m+1) w^m = (1 - w)^(-2).
+
+    An array of abscissae is evaluated in one pass: the exponentials of all
+    rows are taken over the widest head of the batch, each row is zeroed past
+    its own k(x) (at q > 1 those terms are already 0.0), and one matrix
+    product with the weights gives the sums.
     """
 
     def __init__(self, z, q, tol=SERIES_TOL, max_terms=MAX_TERMS):
@@ -81,34 +90,40 @@ class BosonThetaSeries:
             raise DomainError(f"boson series requires 0 < z < 1, got z = {z!r}")
         self.z = z
         self.q = q
-        M = 64
-        while True:
-            m = np.arange(M, dtype=float)
-            zm = z ** m
-            t3 = (m + 1.0) * m ** 3 * zm
-            s = t3.sum()
-            if t3[-1] == 0.0 or (t3[-1] < tol * s and t3[-1] < t3[-2]):
-                break
+        # each doubling computes only the new half of the terms
+        m = np.arange(64, dtype=float)
+        zm = z ** m
+        t3 = (m + 1.0) * m ** 3 * zm
+        while not (t3[-1] == 0.0 or (t3[-1] < tol * t3.sum() and t3[-1] < t3[-2])):
+            M = len(m)
             if M >= max_terms:
                 raise ConvergenceError(
                     f"boson series not converged within {max_terms} terms "
                     f"(z = {z}, q = {q}, tol = {tol})")
-            M = min(2 * M, max_terms)
+            new = np.arange(M, min(2 * M, max_terms), dtype=float)
+            zn = z ** new
+            m = np.concatenate((m, new))
+            zm = np.concatenate((zm, zn))
+            t3 = np.concatenate((t3, (new + 1.0) * new ** 3 * zn))
         self._m = m
         if q == 1.0:
             return
+        M = len(m)
         log_q2 = 2.0 * math.log(q)
         if q > 1.0:
-            self._cut_scale = _EXP_ZERO * math.expm1(log_q2)
+            # q^2 - 1 overflows for q above sqrt(float max); every x > 0 then
+            # keeps the whole (two-term) head
+            self._cut_scale = (math.inf if log_q2 > LOG_MAX
+                               else _EXP_ZERO * math.expm1(log_q2))
             self._cut_rate = 1.0 / log_q2
             # past K, q^(2m) > 1.8e308 and {m} = inf: the term is 0.0 at every x > 0
-            K = int(_LOG_MAX * self._cut_rate) + 2
+            K = int(LOG_MAX * self._cut_rate) + 2
         else:
             self._br_inf = -1.0 / math.expm1(log_q2)  # {m} as m -> inf
             self._cut_log = math.log(_SATURATED_INV * self._br_inf)
             self._cut_rate = -1.0 / log_q2
             # the head is longest at the largest x
-            K = int((_LOG_MAX + self._cut_log) * self._cut_rate) + 2
+            K = int((LOG_MAX + self._cut_log) * self._cut_rate) + 2
         K = self._k_max = min(K, M)
         self._br = np.asarray(q_bracket(m[:K], q))  # may end in inf for q > 1
         # Only the first K terms can be in a head.  Row k of W holds the
@@ -127,37 +142,67 @@ class BosonThetaSeries:
         self._tails[:K] = (rest[:, None] + head)[:, ::-1].T
 
     def cut(self, x):
-        """Head length k(x) at x > 0 and q != 1 (see the class docstring)."""
-        K = self._k_max
-        if self.q > 1.0:
-            # 746 (q^2 - 1) / x may overflow to inf; min() then keeps K
-            t = math.log1p(self._cut_scale / x) * self._cut_rate
-        else:
-            t = max((math.log(x) + self._cut_log) * self._cut_rate, -2.0)
-        return min(int(min(t, K)) + 2, K)
+        """Head length k(x) at x >= 0 and q != 1 (see the class docstring).
+
+        Takes a scalar (returns an int) or an array.  At x = 0 no term
+        vanishes: k(0) is K for q > 1 and 0 for q < 1, where every term is
+        in the tail sum T[0].
+        """
+        xs = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            if self.q > 1.0:
+                # 746 (q^2 - 1) / x may overflow to inf; the minimum then keeps K
+                t = np.log1p(self._cut_scale / xs) * self._cut_rate
+            else:
+                t = np.maximum((np.log(xs) + self._cut_log) * self._cut_rate, -2.0)
+        # min(int(min(t, K)) + 2, K) for t >= -2
+        k = np.minimum(t, self._k_max - 2).astype(int) + 2
+        return int(k) if k.ndim == 0 else k
 
     def excess_sums(self, x):
-        """(F0 - 1, F1, F2, F3) at scalar x >= 0; F0 - 1 omits the m = 0 term."""
-        if x < 0:
-            raise DomainError(f"x must be >= 0, got {x!r}")
+        """(F0 - 1, F1, F2, F3) at x >= 0; F0 - 1 omits the m = 0 term.
+
+        A 1-D array of n abscissae gives an (n, 4) array; a scalar x goes
+        through the same code and gives a tuple of four floats.
+        """
+        xs = _abscissae(x)
         if self.q == 1.0:
-            w = self.z * math.exp(-x)
+            w = self.z * np.exp(-xs)
             r = 1.0 / (1.0 - w)
             # F0 - 1 = (1 - w)^(-2) - 1, written without the cancellation at small w
-            return (w * (2.0 - w) * r * r, 2.0 * w * r ** 3,
-                    2.0 * w * (1.0 + 2.0 * w) * r ** 4,
-                    2.0 * w * (1.0 + w * (7.0 + 4.0 * w)) * r ** 5)
-        if x == 0:
-            return tuple(self._tails[0].tolist())
-        k = self.cut(x)
-        sums = np.dot(np.exp(-x * self._br[:k]), self._weights[:k])
-        if self.q < 1.0:
-            sums += self._tails[k] * math.exp(-x * self._br_inf)
-        return tuple(sums.tolist())
+            out = np.stack((w * (2.0 - w) * r * r, 2.0 * w * r ** 3,
+                            2.0 * w * (1.0 + 2.0 * w) * r ** 4,
+                            2.0 * w * (1.0 + w * (7.0 + 4.0 * w)) * r ** 5), axis=1)
+        else:
+            k = self.cut(xs)
+            # row blocks keep the exponential matrix within _BLOCK elements
+            rows = max(_BLOCK // max(int(k.max(initial=0)), 1), 1)
+            out = np.empty((len(xs), 4))
+            for lo in range(0, len(xs), rows):
+                out[lo:lo + rows] = self._block_sums(xs[lo:lo + rows], k[lo:lo + rows])
+        return tuple(out[0].tolist()) if np.ndim(x) == 0 else out
 
-    def sums(self, x):
-        s0, f1, f2, f3 = self.excess_sums(x)
-        return 1.0 + s0, f1, f2, f3
+    def _block_sums(self, x, k):
+        width = int(k.max())
+        # x = 0 against {m} = inf is NaN at q > 1; those rows are replaced below
+        with np.errstate(invalid="ignore"):
+            e = np.exp(np.multiply.outer(-x, self._br[:width]))
+        if self.q < 1.0:
+            e[np.arange(width) >= k[:, None]] = 0.0
+        sums = e @ self._weights[:width]
+        if self.q < 1.0:
+            sums += self._tails[k] * np.exp(-x * self._br_inf)[:, None]
+        else:
+            sums[x == 0.0] = self._tails[0]  # the whole series at x = 0
+        return sums
+
+
+def _abscissae(x):
+    """x as a 1-D float array, checked to be >= 0."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1 or not (xs >= 0.0).all():
+        raise DomainError(f"x must be a scalar or 1-D array of values >= 0, got {x!r}")
+    return xs
 
 
 def boson_theta_sums(x, z, q, tol=SERIES_TOL, max_terms=MAX_TERMS):
@@ -166,20 +211,21 @@ def boson_theta_sums(x, z, q, tol=SERIES_TOL, max_terms=MAX_TERMS):
     F0 includes the m = 0 term, equal to 1.  Requires 0 < z < 1; raises
     ConvergenceError if the truncation rule is not met within max_terms.
     """
-    return BosonThetaSeries(z, q, tol, max_terms).sums(x)
+    s0, f1, f2, f3 = BosonThetaSeries(z, q, tol, max_terms).excess_sums(float(x))
+    return 1.0 + s0, f1, f2, f3
 
 
 def _fermion_excess_sums(z, q):
-    """x -> (h - 1, F1, F2, F3) with h = 1 + u + v, u = 2 z e^(-x),
-    v = z^2 e^(-(q^-2 + 1) x); the z-power m contributes m^k under theta."""
+    """x -> (h - 1, F1, F2, F3) as an (n, 4) array, with h = 1 + u + v,
+    u = 2 z e^(-x), v = z^2 e^(-(q^-2 + 1) x); the z-power m contributes m^k
+    under theta."""
     rate = q ** -2 + 1.0
 
     def excess_sums(x):
-        if x < 0:
-            raise DomainError(f"x must be >= 0, got {x!r}")
-        u = 2.0 * z * math.exp(-x)
-        v = z * z * math.exp(-rate * x)
-        return u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v
+        xs = _abscissae(x)
+        u = 2.0 * z * np.exp(-xs)
+        v = z * z * np.exp(-rate * xs)
+        return np.stack((u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v), axis=1)
 
     return excess_sums
 
@@ -190,23 +236,25 @@ def fermion_h_sums(x, z, q):
     F0 = 1 + 2 e^(-x) z + e^(-(q^-2 + 1) x) z^2 and
     F_k = 2 e^(-x) z + 2^k e^(-(q^-2 + 1) x) z^2 for k >= 1.
     """
-    s0, f1, f2, f3 = _fermion_excess_sums(z, q)(x)
+    s0, f1, f2, f3 = _fermion_excess_sums(z, q)(float(x))[0].tolist()
     return 1.0 + s0, f1, f2, f3
 
 
-def _cumulants(excess0, f1, f2, f3):
+def _cumulants(sums):
+    """(n, 4) excess sums (F0 - 1, F1, F2, F3) -> (n, 4) cumulants (L0..L3)."""
+    excess0, f1, f2, f3 = sums.T
     f0 = 1.0 + excess0
     r1 = f1 / f0
-    return LogMoments(
-        L0=math.log1p(excess0),
-        L1=r1,
-        L2=f2 / f0 - r1 * r1,
-        L3=f3 / f0 - 3.0 * f1 * f2 / (f0 * f0) + 2.0 * r1 ** 3,
-    )
+    out = np.empty_like(sums)
+    out[:, 0] = np.log1p(excess0)
+    out[:, 1] = r1
+    out[:, 2] = f2 / f0 - r1 * r1
+    out[:, 3] = f3 / f0 - 3.0 * f1 * f2 / (f0 * f0) + 2.0 * r1 ** 3
+    return out
 
 
 def cumulant_kernel(spec, z, tol=SERIES_TOL):
-    """Integrand of the moment integrals: x -> np.array([L0, L1, L2, L3]).
+    """Integrand of the moment integrals: 1-D array x -> (n, 4) array of (L0, L1, L2, L3).
 
     F is f for bosons and h for fermions, and
     L0 = ln F0, L1 = F1/F0, L2 = F2/F0 - (F1/F0)^2,
@@ -221,11 +269,11 @@ def cumulant_kernel(spec, z, tol=SERIES_TOL):
         excess_sums = _fermion_excess_sums(z, spec.q)
 
     def kernel(x):
-        return np.array(_cumulants(*excess_sums(x)))
+        return _cumulants(excess_sums(np.atleast_1d(x)))
 
     return kernel
 
 
 def log_moments(spec, x, z, tol=SERIES_TOL):
     """LogMoments of the integrand F (f for bosons, h for fermions) at (x, z)."""
-    return LogMoments(*cumulant_kernel(spec, z, tol)(x).tolist())
+    return LogMoments(*cumulant_kernel(spec, z, tol)(np.array([x], dtype=float))[0].tolist())

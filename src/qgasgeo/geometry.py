@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import bisect
 
-from .core import GasSpec, ReducedUnits
+from .core import GasSpec, ReducedUnits, bisect
 from .quadrature import MomentSet, moment_integrals
 
 __all__ = [
@@ -235,4 +234,4 @@ def curvature_sign_boundary(spec, z, q_lo, q_hi, cfg=None):
         return float(q_hi)
     if math.copysign(1.0, r_lo) == math.copysign(1.0, r_hi):
         return None
-    return float(bisect(R_of_q, q_lo, q_hi, xtol=1e-4))
+    return float(bisect(R_of_q, q_lo, q_hi, r_lo, xtol=1e-4))

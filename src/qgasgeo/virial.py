@@ -10,9 +10,7 @@ in reduced units (thermal wavelength 1).
 
 import math
 
-from scipy.optimize import bisect
-
-from .core import BOSON, FERMION, DomainError
+from .core import BOSON, FERMION, DomainError, bisect
 
 __all__ = [
     "KINDS",
@@ -112,7 +110,7 @@ def virial_threshold(kind, q_lo=0.5, q_hi=5.0):
         return float(q_hi)
     if math.copysign(1.0, lo) == math.copysign(1.0, hi):
         return None
-    return float(bisect(f, q_lo, q_hi, xtol=1e-10))
+    return float(bisect(f, q_lo, q_hi, lo, xtol=1e-10))
 
 
 def fugacity_from_density(spec, density):

@@ -104,6 +104,16 @@ class TestVirialCommand:
         assert abs(float(read_csv(out)[0]["eta"])) < 1e-15
 
 
+    def test_huge_deformation_row(self, tmp_path):
+        # q^2 - 1 overflows a double here; the row still gets a value
+        out = tmp_path / "r.csv"
+        rc = main(["curvature-z", "--q", "1e160", "--z", "0.5", "--out", str(out)])
+        assert rc == 0
+        row = read_csv(out)[0]
+        assert row["error"] == ""
+        assert math.isfinite(float(row["R_reduced"]))
+
+
 class TestSignTable:
     EXPECTED = (
         ["+", "+", "+", "-", "-"]      # D=3 boson  q = 0.5, 1, 1.2, 1.35, 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgasgeo import DomainError, GasSpec, ReducedUnits, ThermoPoint, q_bracket, validate_domain
+from qgasgeo.core import bisect
 
 
 class TestQBracket:
@@ -68,6 +69,40 @@ class TestQBracket:
         out = q_bracket(np.array([0.0, 1.0, 2.0]), 2.0)
         assert out.shape == (3,)
         assert out[1] == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("q", [1e154, 1e160, 1e300])
+    def test_huge_q_without_overflow(self, q):
+        # q^2 - 1 overflows above q = 1.34e154; {1/2} = 1/(q + 1) exactly
+        out = q_bracket(np.array([0.0, 0.5, 1.0, 2.0]), q)
+        assert out[0] == 0.0
+        assert out[1] == pytest.approx(1.0 / (q + 1.0), rel=1e-14)
+        assert out[2] == 1.0
+        assert out[3] > 1e300
+
+
+class TestBisect:
+    @staticmethod
+    def cubic(x):
+        return x ** 3 - 2.0
+
+    def test_root_and_tolerance(self):
+        root = bisect(self.cubic, 0.0, 2.0, self.cubic(0.0), xtol=1e-12)
+        assert abs(root - 2.0 ** (1.0 / 3.0)) < 2e-12
+
+    def test_same_root_as_scipy_bisect(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for a, b, xtol in ((0.0, 2.0, 1e-12), (1.0, 1.5, 1e-4), (-3.0, 7.0, 1e-300)):
+            got = bisect(self.cubic, a, b, self.cubic(a), xtol)
+            assert got == optimize.bisect(self.cubic, a, b, xtol=xtol)
+
+    def test_nan_raises(self):
+        with pytest.raises(RuntimeError):
+            bisect(lambda x: math.nan, 0.0, 1.0, -1.0, xtol=1e-6)
+
+    def test_step_budget_raises(self):
+        # 100 halvings of a 1e300-wide bracket leave a step far above 4 eps |x|
+        with pytest.raises(RuntimeError):
+            bisect(lambda x: x - 1e-300, 0.0, 1e300, -1e-300, xtol=0.0)
 
 
 class TestGasSpec:

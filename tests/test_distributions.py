@@ -10,11 +10,13 @@ from qgasgeo import (
     DomainError,
     GasSpec,
     boson_theta_sums,
+    cumulant_kernel,
     fermion_h_sums,
     log_moments,
     q_bracket,
 )
-from qgasgeo.distributions import BosonThetaSeries
+from qgasgeo.distributions import SERIES_TOL, BosonThetaSeries
+from qgasgeo.quadrature import _GK21_NODES
 
 
 class TestBosonThetaSums:
@@ -219,3 +221,71 @@ class TestKernelTruncation:
                     q2m *= qq * qq
                 for g, v in zip(got, want):
                     assert g == pytest.approx(float(v), rel=1e-14, abs=0.0)
+
+
+def _doubling_rule_length(z, tol=SERIES_TOL):
+    """Series length M of the plain doubling loop that recomputes every term."""
+    M = 64
+    while True:
+        m = np.arange(M, dtype=float)
+        t3 = (m + 1.0) * m ** 3 * z ** m
+        if t3[-1] == 0.0 or (t3[-1] < tol * t3.sum() and t3[-1] < t3[-2]):
+            return M
+        M *= 2
+
+
+class TestArrayKernel:
+    """One array evaluation serves every abscissa of a refinement step."""
+
+    @pytest.mark.parametrize("z", [1.0 - 10.0 ** (-3.0 + 0.2 * i) for i in range(11)]
+                             + [10.0 ** (-8.0 + 0.25 * i) for i in range(25)])
+    def test_series_length_matches_doubling_rule(self, z):
+        # each doubling computes only the new half; M must not change
+        assert len(BosonThetaSeries(z, 1.15)._m) == _doubling_rule_length(z)
+
+    @pytest.mark.parametrize("q", [1.001, 0.999])
+    def test_block_boundary_batch_matches_one_row_calls(self, q):
+        # the abscissae of one 128-interval refinement step: 256 GK21 panels
+        # over [0, 60], 5,376 rows, whose widest head spans several row blocks
+        series = BosonThetaSeries(0.99, q)
+        edges = np.linspace(0.0, 60.0, 257)
+        c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        x = (c[:, None] + h[:, None] * _GK21_NODES).ravel()
+        assert len(x) * series.cut(x).max() > 4 * 2 ** 20
+        batch = series.excess_sums(x)
+        rows = np.array([series.excess_sums(float(v)) for v in x])
+        # BLAS orders a many-row product differently from a one-row product;
+        # all terms are positive, so both lie within K ulps of the exact sum
+        tol = series._k_max * np.finfo(float).eps
+        np.testing.assert_allclose(batch, rows, rtol=tol, atol=0.0)
+        kernel = cumulant_kernel(GasSpec("boson", q, 2), 0.99)
+        assert kernel(x).shape == (len(x), 4)
+
+    @pytest.mark.parametrize("spec,z", [
+        (GasSpec("boson", 0.5, 3), 0.9),
+        (GasSpec("boson", 1.0, 2), 0.99),
+        (GasSpec("boson", 2.0, 2), 0.5),
+        (GasSpec("fermion", 1.3, 3), 4.0),
+    ])
+    def test_kernel_rows_equal_log_moments(self, spec, z):
+        x = np.array([0.0, 1e-9, 0.3, 2.0, 40.0])
+        rows = cumulant_kernel(spec, z)(x)
+        for xi, row in zip(x, rows):
+            want = log_moments(spec, float(xi), z)
+            for g, w in zip(row, want):
+                assert g == pytest.approx(w, rel=1e-14, abs=0.0)
+
+    def test_rejects_negative_or_nan_abscissa(self):
+        kernel = cumulant_kernel(GasSpec("boson", 1.15, 2), 0.5)
+        for bad in ([0.5, -1e-3], [math.nan]):
+            with pytest.raises(DomainError):
+                kernel(np.array(bad))
+
+    @pytest.mark.parametrize("q", [1e150, 1e160, 1e300])
+    def test_huge_q_keeps_two_terms(self, q):
+        # at these x only the m <= 1 terms survive, also above q = sqrt(float max)
+        # where q^2 - 1 overflows
+        series = BosonThetaSeries(0.5, q)
+        x = np.array([1e-30, 1e-3, 1.0])
+        want = 2.0 * 0.5 * np.exp(-x)
+        np.testing.assert_array_equal(series.excess_sums(x), np.repeat(want[:, None], 4, axis=1))

@@ -5,6 +5,7 @@ import math
 import mp_oracle
 import pytest
 
+from qgasgeo import geometry
 from qgasgeo import (
     NORM_PAPER,
     NORM_RAW,
@@ -154,3 +155,33 @@ class TestSignBoundary:
         # boson D=3 stays boson-like over q in [0.5, 1.2] at low z
         q_star = curvature_sign_boundary(GasSpec("boson", 1.0, 3), 0.05, 0.5, 1.2)
         assert q_star is None
+
+    def test_bisection_reuses_end_value(self, monkeypatch):
+        # two end values and 12 halvings of [1.1, 1.5] down to |dq| < 1e-4;
+        # the root is the one scipy's bisect finds, which evaluates both ends twice
+        spec = GasSpec("boson", 1.0, 3)
+        calls = []
+        closed_form = geometry.curvature_closed_form
+
+        def counting(spec, z, cfg=None, normalization=NORM_PAPER):
+            calls.append(spec.q)
+            return closed_form(spec, z, cfg, normalization)
+
+        monkeypatch.setattr(geometry, "curvature_closed_form", counting)
+        q_star = curvature_sign_boundary(spec, 0.05, 1.1, 1.5)
+        assert len(calls) == 14
+        optimize = pytest.importorskip("scipy.optimize")
+        want = optimize.bisect(lambda q: closed_form(GasSpec("boson", q, 3), 0.05).R_reduced,
+                               1.1, 1.5, xtol=1e-4)
+        assert q_star == want
+
+
+class TestHugeDeformation:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+    def test_boson_above_sqrt_float_max(self, dim, z):
+        # from q = 1e150 on only the m <= 1 terms survive at any sampled
+        # abscissa, so R no longer moves with q
+        r_160 = curvature_closed_form(GasSpec("boson", 1e160, dim), z).R_reduced
+        r_150 = curvature_closed_form(GasSpec("boson", 1e150, dim), z).R_reduced
+        assert r_160 == pytest.approx(r_150, rel=1e-12, abs=0.0)

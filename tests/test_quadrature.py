@@ -1,14 +1,18 @@
 """Adaptive moment integrals against polylogarithm and termwise oracles."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qgasgeo import (
     GasSpec,
     QuadratureConfig,
+    ToleranceError,
     moment_integrals,
     polylog_reference_q1,
+    quadrature,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -107,3 +111,72 @@ class TestConfigValidation:
             QuadratureConfig(rel_tol=2.0)
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
+
+
+# both statistics x D x q x z, plus the fermion gas at z = 5 for every D and q
+_PARITY_CASES = (
+    [(stat, dim, q, z) for stat, dim, q, z in itertools.product(
+        ("boson", "fermion"), (2, 3), (0.5, 1.0, 1.15, 2.0), (1e-6, 0.5, 0.99))]
+    + [("fermion", dim, q, 5.0) for dim, q in itertools.product((2, 3), (0.5, 1.0, 1.15, 2.0))])
+
+
+class TestBatchedIntegrator:
+    @pytest.mark.parametrize("stat,dim,q,z", _PARITY_CASES)
+    def test_parity_with_scipy_quad_vec(self, stat, dim, q, z, monkeypatch):
+        # the same adaptive rules as scipy's one-abscissa-per-call quad_vec:
+        # equal evaluation and interval counts, moments to 1e-13 relative
+        integrate = pytest.importorskip("scipy.integrate")
+        spec = GasSpec(stat, q, dim)
+        got = moment_integrals(spec, z)
+
+        def scalar_quad_vec(f, a, b, epsabs, epsrel, limit):
+            return integrate.quad_vec(lambda x: f(np.array([x]))[0], a, b, epsabs=epsabs,
+                                      epsrel=epsrel, norm="max", limit=limit, full_output=True)
+
+        monkeypatch.setattr(quadrature, "quad_vec", scalar_quad_vec)
+        want = moment_integrals(spec, z)
+        assert (got.neval, got.intervals) == (want.neval, want.intervals)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-13, abs=0.0)
+        assert got.est_error == pytest.approx(want.est_error, rel=1e-6)
+
+    def test_counts_on_moment_set(self):
+        # 21 abscissae for the first panel, 42 per bisection: 50 bisections
+        m = moment_integrals(GasSpec("boson", 1.15, 2), 0.97)
+        assert m.neval == 2121
+        assert m.intervals == 51
+
+    def test_subdivision_budget_raises_with_estimate(self):
+        with pytest.raises(ToleranceError) as info:
+            moment_integrals(GasSpec("boson", 1.15, 2), 0.97, QuadratureConfig(max_subdivisions=3))
+        assert math.isfinite(info.value.est_error)
+        assert info.value.est_error > 0.0
+
+    def test_nan_integrand_raises(self, monkeypatch):
+        def nan_kernel(spec, z):
+            return lambda x: np.full((len(x), 4), math.nan)
+
+        monkeypatch.setattr(quadrature, "cumulant_kernel", nan_kernel)
+        with pytest.raises(ToleranceError):
+            moment_integrals(GasSpec("fermion", 1.0, 2), 0.5)
+
+    def test_one_kernel_call_per_refinement_step(self, monkeypatch):
+        calls = []
+        kernel = quadrature.cumulant_kernel
+
+        def counting_kernel(spec, z):
+            lfun = kernel(spec, z)
+
+            def f(x):
+                calls.append(len(x))
+                return lfun(x)
+
+            return f
+
+        monkeypatch.setattr(quadrature, "cumulant_kernel", counting_kernel)
+        m = moment_integrals(GasSpec("boson", 1.15, 2), 0.97)
+        # one tail-cutoff probe, the first panel, then both halves of every
+        # interval a step bisects in one call
+        assert calls[:2] == [1, 21]
+        assert sum(calls[1:]) == m.neval
+        assert all(n % 42 == 0 for n in calls[2:])

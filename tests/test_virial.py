@@ -60,6 +60,12 @@ class TestThresholds:
         assert closed_form_threshold(kind) == pytest.approx(root, abs=1e-15)
         assert virial_threshold(kind) == pytest.approx(root, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", ["alpha", "delta", "eta"])
+    def test_same_root_as_scipy_bisect(self, kind):
+        optimize = pytest.importorskip("scipy.optimize")
+        f = {"alpha": alpha, "delta": delta, "eta": eta}[kind]
+        assert virial_threshold(kind) == optimize.bisect(f, 0.5, 5.0, xtol=1e-10)
+
     def test_zeta_has_no_threshold(self):
         assert closed_form_threshold("zeta") is None
         assert virial_threshold("zeta") is None

@@ -19,7 +19,6 @@ from .core import (
     FERMION,
     DomainError,
     GasSpec,
-    ReducedUnits,
     ThermoPoint,
     q_bracket,
     validate_domain,
@@ -82,7 +81,6 @@ __all__ = [
     "MomentSet",
     "OutOfVirialRangeError",
     "QuadratureConfig",
-    "ReducedUnits",
     "StepSizeError",
     "ThermoPoint",
     "ToleranceError",

@@ -6,7 +6,7 @@ curvature-z   R as a function of fugacity z at fixed deformation values
 curvature-q   R as a function of deformation q at fixed fugacities
 virial        second-order virial coefficients alpha, delta, eta, zeta vs q
 signtable     sign of R for the standard q values at small fugacity
-selfcheck     run the built-in oracle cross-validations; exit 0 iff all pass
+selfcheck     run the cross-checks of `qgasgeo.checks`; exit 0 iff all pass
 
 Exit codes: 0 success, 1 usage error, 2 domain error on every grid point,
 3 self-check failure.  Sweep output is CSV (default) or JSON with one row
@@ -23,24 +23,12 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .core import BOSON, FERMION, DomainError, GasSpec
 from .distributions import ConvergenceError
-from .geometry import (
-    NORM_PAPER,
-    NORM_RAW,
-    DegenerateMetricError,
-    curvature_closed_form,
-    determinant_curvature_oracle,
-    metric_tensor,
-)
-from .quadrature import (
-    QuadratureConfig,
-    ToleranceError,
-    moment_integrals,
-    polylog_reference_q1,
-)
-from .virial import alpha, closed_form_threshold, delta, eta, virial_threshold, zeta_fermion_d2
+from .geometry import NORM_PAPER, NORM_RAW, DegenerateMetricError, curvature_closed_form
+from .quadrature import QuadratureConfig, ToleranceError
+from .virial import alpha, delta, eta, zeta_fermion_d2
 
 __all__ = ["main"]
 
@@ -53,13 +41,6 @@ _SIGNTABLE_QS = {
     (2, BOSON): (0.5, 1.0, 1.3, 1.5, 2.0),
     (2, FERMION): (0.5, 1.0, 2.0, 10.0),
 }
-
-# criterion grid shared by the oracle-agreement and metric-validity checks
-_CHECK_GRID_Q_Z = {
-    BOSON: ((0.5, 1.0, 1.15, 2.0), (0.1, 0.5, 0.9)),
-    FERMION: ((0.5, 1.0, 10.0), (0.1, 1.0, 10.0)),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 1."""
@@ -140,7 +121,7 @@ def _curvature_row(stat, dim, q, z, normalization, cfg):
         spec = GasSpec(stat, q, dim)
         row["R_reduced"] = curvature_closed_form(spec, z, cfg, normalization).R_reduced
     except _POINT_ERRORS as exc:
-        row["error"] = str(exc)
+        row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
@@ -200,101 +181,21 @@ def _run_signtable(args, parser):
     return 0
 
 
-def _check_oracle_agreement(report):
-    """Closed form (raw) vs determinant oracle, 1e-5 relative, full grid."""
-    worst = 0.0
-    n = 0
-    for dim in (3, 2):
-        for stat, (qs, zs) in _CHECK_GRID_Q_Z.items():
-            for q in qs:
-                for z in zs:
-                    spec = GasSpec(stat, q, dim)
-                    r_closed = curvature_closed_form(spec, z, normalization=NORM_RAW).R_reduced
-                    r_oracle = determinant_curvature_oracle(spec, 1.0, z)
-                    worst = max(worst, abs(r_closed - r_oracle) / abs(r_oracle))
-                    n += 1
-    return report("closed form vs determinant oracle", worst <= 1e-5,
-                  f"max rel dev {worst:.3e} over {n} grid points, tol 1e-05")
-
-
-def _check_polylog(report):
-    """q = 1 moments vs polylogarithm references, 1e-8 relative."""
-    worst = 0.0
-    for stat, zs in ((BOSON, (0.1, 0.5, 0.9)), (FERMION, (0.5, 2.0, 10.0))):
-        for dim in (3, 2):
-            for z in zs:
-                spec = GasSpec(stat, 1.0, dim)
-                got = tuple(moment_integrals(spec, z))
-                want = polylog_reference_q1(spec, z)
-                worst = max(worst, max(abs(g - w) / abs(w) for g, w in zip(got, want)))
-    return report("q=1 polylogarithm oracle", worst <= 1e-8,
-                  f"max rel dev {worst:.3e} over both statistics and dimensions, tol 1e-08")
-
-
-def _check_virial(report):
-    """Thresholds: bisection vs closed form 1e-6; q=1 values 1e-10."""
-    worst_root = 0.0
-    for kind in ("alpha", "delta", "eta"):
-        worst_root = max(worst_root,
-                         abs(virial_threshold(kind) - closed_form_threshold(kind)))
-    zeta_none = virial_threshold("zeta") is None
-    ref = 2.0 ** -3.5  # 1/(8 sqrt 2), independent arithmetic
-    worst_val = max(abs(alpha(1.0) - ref), abs(delta(1.0) + ref), abs(eta(1.0) + 0.125))
-    ok = worst_root <= 1e-6 and zeta_none and worst_val <= 1e-10
-    return report("virial thresholds and q=1 values", ok,
-                  f"root dev {worst_root:.3e} (tol 1e-06), value dev {worst_val:.3e} "
-                  f"(tol 1e-10), zeta threshold none: {zeta_none}")
-
-
-def _check_metric_validity(report):
-    """g11 > 0, g22 > 0, det g > 0 across the standard grid."""
-    ok = True
-    n = 0
-    for dim in (3, 2):
-        for stat, (qs, zs) in _CHECK_GRID_Q_Z.items():
-            for q in qs:
-                for z in zs:
-                    g = metric_tensor(GasSpec(stat, q, dim), 1.0, z)
-                    ok = ok and g.g11 > 0 and g.g22 > 0 and g.det > 0
-                    n += 1
-    return report("metric validity", ok, f"g11, g22, det g positive at all {n} grid points")
-
-
-def _check_beta_independence(report):
-    """Reduced R from the oracle at beta = 1 vs beta = 2, 1e-8 relative."""
-    points = [
-        (BOSON, 3, 0.5, 0.5), (BOSON, 3, 1.0, 0.9), (BOSON, 2, 1.15, 0.5),
-        (FERMION, 3, 10.0, 2.0), (FERMION, 2, 1.0, 10.0), (FERMION, 2, 0.5, 0.1),
-    ]
-    worst = 0.0
-    for stat, dim, q, z in points:
-        spec = GasSpec(stat, q, dim)
-        r1 = determinant_curvature_oracle(spec, 1.0, z)
-        r2 = determinant_curvature_oracle(spec, 2.0, z)
-        worst = max(worst, abs(r1 - r2) / abs(r1))
-    return report("beta independence of reduced R", worst <= 1e-8,
-                  f"max rel dev {worst:.3e} at {len(points)} points, tol 1e-08")
-
-
 def _run_selfcheck(args):
     t0 = time.perf_counter()
-    failures = 0
-
-    def report(name, ok, detail):
-        nonlocal failures
-        failures += 0 if ok else 1
+    passed = 0
+    for name, check in checks.CHECKS:
+        try:
+            ok, detail = check()
+        except Exception as exc:  # a crashing check reports and counts as failed
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        passed += bool(ok)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        return ok
-
-    _check_oracle_agreement(report)
-    _check_polylog(report)
-    _check_virial(report)
-    _check_metric_validity(report)
-    _check_beta_independence(report)
+    total = len(checks.CHECKS)
     elapsed = time.perf_counter() - t0
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {5 - failures}/5 checks passed "
+    print(f"{'OK' if passed == total else 'FAILED'}: {passed}/{total} checks passed "
           f"in {elapsed:.1f} s")
-    return 0 if failures == 0 else 3
+    return 0 if passed == total else 3
 
 
 def _add_common(sub, *, stat=None, dim=None, q=None, z=None, points=49):

@@ -2,8 +2,8 @@
 
 The library works in reduced units throughout: the thermal wavelength is
 lambda = sqrt(beta) (proportionality constant 1) and the container volume
-(V in three dimensions, area A in two) defaults to 1, so every reported
-curvature is in units of lambda^D / volume and depends only on (z, q, D).
+(V in three dimensions, area A in two) is 1, so every reported curvature is
+in units of lambda^D / volume and depends only on (z, q, D).
 """
 
 import math
@@ -17,7 +17,6 @@ __all__ = [
     "FERMION",
     "DomainError",
     "GasSpec",
-    "ReducedUnits",
     "ThermoPoint",
     "bisect",
     "q_bracket",
@@ -78,24 +77,6 @@ class ThermoPoint:
 
     z: float
     beta: float = 1.0
-
-    @property
-    def gamma(self):
-        return -math.log(self.z)
-
-
-@dataclass(frozen=True)
-class ReducedUnits:
-    """Unit conventions: lambda = beta^(1/2), container volume defaults to 1."""
-
-    volume: float = 1.0
-
-    def thermal_wavelength(self, beta):
-        return math.sqrt(beta)
-
-    def lambda_power(self, beta, dimension):
-        """lambda^D = beta^(D/2)."""
-        return beta ** (dimension / 2.0)
 
 
 def q_bracket(x, q):

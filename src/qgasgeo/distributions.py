@@ -218,8 +218,13 @@ def boson_theta_sums(x, z, q, tol=SERIES_TOL, max_terms=MAX_TERMS):
 def _fermion_excess_sums(z, q):
     """x -> (h - 1, F1, F2, F3) as an (n, 4) array, with h = 1 + u + v,
     u = 2 z e^(-x), v = z^2 e^(-(q^-2 + 1) x); the z-power m contributes m^k
-    under theta."""
-    rate = q ** -2 + 1.0
+    under theta.
+
+    q ** -2 overflows below q = 1.34e-154, so q below 1e-150 is taken as
+    1e-150: e^(-(q^-2 + 1) x) is then already 1 at x = 0 and exactly 0.0 at
+    every x >= 7.5e-298.
+    """
+    rate = max(q, 1e-150) ** -2 + 1.0
 
     def excess_sums(x):
         xs = _abscissae(x)

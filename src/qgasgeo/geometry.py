@@ -3,7 +3,7 @@
 With coordinates beta^1 = beta and beta^2 = gamma = -beta mu, the metric is
 the Hessian g_ab = d^2 ln Z / dbeta^a dbeta^b.  Both statistics share the
 structure ln Z = K beta^(-p) a(gamma) with p = D/2 and K = 2 V / sqrt(pi)
-for D = 3, K = A for D = 2 (volume factors default to 1 in reduced units),
+for D = 3, K = A for D = 2 (the volume V or area A is 1 in reduced units),
 so the components reduce to the theta-moment integrals:
 
     g11 = p (p+1) K beta^(-p-2) a
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GasSpec, ReducedUnits, bisect
+from .core import GasSpec, ThermoPoint, bisect, validate_domain
 from .quadrature import MomentSet, moment_integrals
 
 __all__ = [
@@ -87,11 +87,7 @@ class CurvatureResult:
     moments: MomentSet
 
 
-def _prefactor(spec, units):
-    return 2.0 * units.volume / SQRT_PI if spec.dimension == 3 else units.volume
-
-
-def _components(spec, beta, abc, units):
+def _components(spec, beta, abc):
     """(g11, g12, g22) from the first three moments (a, b, c).
 
     Also applies to gamma-derivatives: feeding (-b, -c, -d) yields
@@ -99,21 +95,22 @@ def _components(spec, beta, abc, units):
     """
     a, b, c = abc
     p = spec.p
-    K = _prefactor(spec, units)
+    K = 2.0 / SQRT_PI if spec.dimension == 3 else 1.0
     g11 = p * (p + 1.0) * K * beta ** (-p - 2.0) * a
     g12 = p * K * beta ** (-p - 1.0) * b
     g22 = K * beta ** (-p) * c
     return g11, g12, g22
 
 
-def metric_tensor(spec, beta, z, cfg=None, units=None):
+def metric_tensor(spec, beta, z, cfg=None):
     """Metric components at (beta, z) from the theta moments.
 
-    All moments are positive, so g12 > 0 in this sign convention.
+    All moments are positive, so g12 > 0 in this sign convention.  Raises
+    DomainError unless beta is finite and > 0 and z is in the domain.
     """
-    units = units or ReducedUnits()
+    validate_domain(spec, ThermoPoint(z=z, beta=beta))
     m = moment_integrals(spec, z, cfg)
-    g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c), units)
+    g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
     return MetricTensor(g11=g11, g12=g12, g22=g22, beta=beta, spec=spec)
 
 
@@ -148,7 +145,7 @@ def curvature_closed_form(spec, z, cfg=None, normalization=NORM_PAPER):
     return curvature_from_moments(spec, moment_integrals(spec, z, cfg), normalization)
 
 
-def _gamma_derivative_fd(spec, beta, z, h, cfg, units):
+def _gamma_derivative_fd(spec, beta, z, h, cfg):
     """Central gamma-derivatives of (g11, g12, g22) with a step-size check.
 
     gamma = -ln z, so gamma +/- h corresponds to z e^(-+ h).  The forward/
@@ -158,7 +155,7 @@ def _gamma_derivative_fd(spec, beta, z, h, cfg, units):
     """
     def g_at(zz):
         m = moment_integrals(spec, zz, cfg)
-        return np.array(_components(spec, beta, (m.a, m.b, m.c), units))
+        return np.array(_components(spec, beta, (m.a, m.b, m.c)))
 
     g0 = g_at(z)
     gp = g_at(z * math.exp(-h))
@@ -175,7 +172,7 @@ def _gamma_derivative_fd(spec, beta, z, h, cfg, units):
     return central
 
 
-def determinant_curvature_oracle(spec, beta, z, fd_step=None, cfg=None, units=None):
+def determinant_curvature_oracle(spec, beta, z, fd_step=None, cfg=None):
     """Scalar curvature via the 3x3 determinant, raw normalization, reduced units.
 
     For a two-parameter Hessian metric the curvature reduces to
@@ -192,19 +189,20 @@ def determinant_curvature_oracle(spec, beta, z, fd_step=None, cfg=None, units=No
     and is therefore independent of the ladder sign convention.
 
     The reduced result (units lambda^D / volume) is independent of beta.
+    Raises DomainError unless beta is finite and > 0 and z is in the domain.
     """
-    units = units or ReducedUnits()
+    validate_domain(spec, ThermoPoint(z=z, beta=beta))
     p = spec.p
     m = moment_integrals(spec, z, cfg)
-    g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c), units)
+    g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
     # ln Z = K beta^(-p) a: each component scales as a pure power of beta
     db_g11 = -(p + 2.0) / beta * g11
     db_g12 = -(p + 1.0) / beta * g12
     db_g22 = -p / beta * g22
     if fd_step is None:
-        dg_g11, dg_g12, dg_g22 = _components(spec, beta, (-m.b, -m.c, -m.d), units)
+        dg_g11, dg_g12, dg_g22 = _components(spec, beta, (-m.b, -m.c, -m.d))
     else:
-        dg_g11, dg_g12, dg_g22 = _gamma_derivative_fd(spec, beta, z, fd_step, cfg, units)
+        dg_g11, dg_g12, dg_g22 = _gamma_derivative_fd(spec, beta, z, fd_step, cfg)
     det_g = g11 * g22 - g12 * g12
     if det_g < _DEGENERATE_FLOOR:
         raise DegenerateMetricError(f"det g = {det_g!r} not positive for {spec} at z = {z}")
@@ -212,8 +210,9 @@ def determinant_curvature_oracle(spec, beta, z, fd_step=None, cfg=None, units=No
                   [db_g11, db_g22, db_g12],
                   [dg_g11, dg_g22, dg_g12]])
     R = float(np.linalg.det(M)) / (2.0 * det_g * det_g)
-    # convert to units lambda^D / volume; all beta dependence cancels
-    return R * units.volume / units.lambda_power(beta, spec.dimension)
+    # convert to units lambda^D / volume with lambda^D = beta^(D/2) and
+    # volume 1; all beta dependence cancels
+    return R / beta ** (spec.dimension / 2.0)
 
 
 def curvature_sign_boundary(spec, z, q_lo, q_hi, cfg=None):

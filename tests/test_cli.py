@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from qgasgeo import GasSpec, curvature_closed_form
+from qgasgeo import GasSpec, checks, curvature_closed_form
 from qgasgeo.cli import main
 
 
@@ -73,6 +73,17 @@ class TestCurvatureSweeps:
         assert len(good) == 1 and len(bad) == 1
         assert bad[0]["z"] == "1.5"
         assert bad[0]["R_reduced"] == ""
+        assert bad[0]["error"].startswith("DomainError: boson fugacity must satisfy z < 1")
+
+    def test_tiny_deformation_fermion_row(self, tmp_path):
+        # q ** -2 overflows a double here; the row still gets a value
+        out = tmp_path / "r.csv"
+        rc = main(["curvature-z", "--stat", "fermion", "--q", "1e-160", "--z", "0.5",
+                   "--out", str(out)])
+        assert rc == 0
+        row = read_csv(out)[0]
+        assert row["error"] == ""
+        assert math.isfinite(float(row["R_reduced"]))
 
     def test_all_points_invalid_exit_2(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -166,3 +177,16 @@ class TestExitCodes:
         assert rc == 0
         assert captured.out.count("PASS") == 5
         assert "OK: 5/5" in captured.out
+
+    def test_selfcheck_reports_a_raising_check(self, capsys, monkeypatch):
+        def raising():
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(checks, "CHECKS", (("passing", lambda: (True, "fine")),
+                                               ("raising", raising)))
+        rc = main(["selfcheck"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        assert out[:2] == ["PASS passing: fine",
+                           "FAIL raising: ZeroDivisionError: float division by zero"]
+        assert out[2].startswith("FAILED: 1/2 checks passed")

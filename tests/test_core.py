@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qgasgeo import DomainError, GasSpec, ReducedUnits, ThermoPoint, q_bracket, validate_domain
+from qgasgeo import DomainError, GasSpec, ThermoPoint, q_bracket, validate_domain
 from qgasgeo.core import bisect
 
 
@@ -122,20 +122,6 @@ class TestGasSpec:
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(DomainError):
             GasSpec(**bad)
-
-
-class TestThermoPoint:
-    def test_gamma_is_minus_log_z(self):
-        assert ThermoPoint(z=0.5).gamma == pytest.approx(math.log(2.0), rel=1e-15)
-        assert ThermoPoint(z=1.0).gamma == 0.0
-
-
-class TestReducedUnits:
-    def test_wavelength_and_power(self):
-        u = ReducedUnits()
-        assert u.thermal_wavelength(4.0) == 2.0
-        assert u.lambda_power(4.0, 3) == 8.0
-        assert u.lambda_power(4.0, 2) == 4.0
 
 
 class TestValidateDomain:

@@ -10,6 +10,7 @@ from qgasgeo import (
     NORM_PAPER,
     NORM_RAW,
     DegenerateMetricError,
+    DomainError,
     GasSpec,
     MomentSet,
     StepSizeError,
@@ -48,6 +49,14 @@ class TestMetricTensor:
         assert g.g11 > 0.0
         assert g.g22 > 0.0
         assert g.det > 0.0
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_beta(self, beta):
+        spec = GasSpec("boson", 0.5, 3)
+        with pytest.raises(DomainError, match="beta"):
+            metric_tensor(spec, beta, 0.5)
+        with pytest.raises(DomainError, match="beta"):
+            determinant_curvature_oracle(spec, beta, 0.5)
 
     def test_det_bracket_identity(self):
         # det g = p K^2 beta^(-2p-2) [(p+1) a c - p b^2]
@@ -185,3 +194,12 @@ class TestHugeDeformation:
         r_160 = curvature_closed_form(GasSpec("boson", 1e160, dim), z).R_reduced
         r_150 = curvature_closed_form(GasSpec("boson", 1e150, dim), z).R_reduced
         assert r_160 == pytest.approx(r_150, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("z", [0.1, 0.5, 5.0])
+    def test_fermion_below_inverse_sqrt_float_max(self, dim, z):
+        # q ** -2 overflows below q = 1.34e-154; from q = 1e-150 on the
+        # z^2 term of h is 0.0 at every sampled abscissa
+        r_160 = curvature_closed_form(GasSpec("fermion", 1e-160, dim), z).R_reduced
+        r_150 = curvature_closed_form(GasSpec("fermion", 1e-150, dim), z).R_reduced
+        assert r_160 == r_150

@@ -49,7 +49,6 @@ from .quadrature import (
     QuadratureConfig,
     ToleranceError,
     moment_integrals,
-    polylog_reference_q1,
 )
 from .virial import (
     KINDS,
@@ -99,7 +98,6 @@ __all__ = [
     "log_moments",
     "metric_tensor",
     "moment_integrals",
-    "polylog_reference_q1",
     "q_bracket",
     "validate_domain",
     "virial_threshold",

@@ -4,14 +4,17 @@ Each check takes no arguments and returns (ok, detail): the closed form
 against the determinant oracle, the q = 1 moments against polylogarithms,
 the bisected virial roots and q = 1 values against closed forms, metric
 positivity, and the beta independence of the reduced curvature.  Every
-grid and tolerance is written once, here.  `qgasgeo selfcheck` runs
+grid and tolerance is written once, here, next to the mpmath polylogarithm
+reference `polylog_reference_q1`.  `qgasgeo selfcheck` runs
 `CHECKS` in order; acceptance criteria 01, 02, 04, 08 and 09 call the same
 functions.  A NaN deviation fails its check.
 """
 
-from .core import BOSON, FERMION, GasSpec
+import mpmath
+
+from .core import BOSON, FERMION, GasSpec, validate_domain
 from .geometry import NORM_RAW, curvature_closed_form, determinant_curvature_oracle, metric_tensor
-from .quadrature import moment_integrals, polylog_reference_q1
+from .quadrature import moment_integrals
 from .virial import alpha, closed_form_threshold, delta, eta, virial_threshold
 
 __all__ = [
@@ -21,6 +24,7 @@ __all__ = [
     "metric_positivity",
     "oracle_agreement",
     "polylog_moments",
+    "polylog_reference_q1",
     "virial_thresholds",
 ]
 
@@ -63,6 +67,34 @@ def oracle_agreement():
         devs.append(abs(r_closed - r_oracle) / abs(r_oracle))
     ok, worst = _within(devs, tol)
     return ok, f"max rel dev {worst:.3e} over {len(points)} grid points, tol {tol:g}"
+
+
+def polylog_reference_q1(spec, z):
+    """Undeformed-limit reference values (a, b, c, d) from polylogarithms.
+
+    At q = 1 the boson integrand is ln f = -2 ln(1 - z e^(-x)) and the
+    fermion one is ln h = 2 ln(1 + z e^(-x)), so each moment reduces to
+    a polylogarithm: a = 2 Gamma(nu+1) Li_(nu+2)(z) for bosons and
+    -2 Gamma(nu+1) Li_(nu+2)(-z) for fermions, with each theta lowering
+    the index by one.  Fermion arguments -z < -1 rely on the analytic
+    continuation; spurious imaginary round-off is stripped.
+    """
+    if spec.q != 1.0:
+        raise ValueError(f"polylog reference only applies at q = 1, got q = {spec.q}")
+    validate_domain(spec, z)
+    prefactor = 2.0 * float(mpmath.gamma(spec.nu + 1.0))
+    s_top = spec.nu + 2.0
+    sign = 1.0 if spec.statistics == BOSON else -1.0
+    arg = z if spec.statistics == BOSON else -z
+    out = []
+    for k in range(4):
+        v = mpmath.polylog(s_top - k, arg)
+        if isinstance(v, mpmath.mpc):
+            if abs(v.imag) > 1e-12 * max(1.0, abs(v.real)):
+                raise ArithmeticError(f"polylog returned complex value {v} at s = {s_top - k}")
+            v = v.real
+        out.append(sign * prefactor * float(v))
+    return tuple(out)
 
 
 def polylog_moments():

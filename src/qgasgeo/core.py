@@ -28,6 +28,8 @@ FERMION = "fermion"
 
 # e^t overflows a double for t > LOG_MAX
 LOG_MAX = math.log(sys.float_info.max)
+# largest fermion fugacity: above it 8 z^2, the z^2 term of theta^3 h, overflows
+_FERMION_Z_MAX = math.sqrt(sys.float_info.max / 8.0)
 # relative term of the bisection stopping rule: 4 ulps of the midpoint
 _BISECT_RTOL = 4.0 * sys.float_info.epsilon
 _BISECT_STEPS = 100
@@ -113,7 +115,7 @@ def q_bracket(x, q):
 def validate_domain(spec, point):
     """Check that (spec, point) is inside the physical domain.
 
-    Fermion gases accept any z > 0.  Boson gases are restricted to
+    Fermion gases accept 0 < z <= 4.74e153.  Boson gases are restricted to
     0 < z < 1 for every q: the defining series diverges at z >= 1 for
     q <= 1, and the x -> 0 edge is log-divergent for z >= 1, q > 1.
     Raises DomainError naming the violated constraint; returns None.
@@ -129,6 +131,9 @@ def validate_domain(spec, point):
     if spec.statistics == BOSON and point.z >= 1.0:
         raise DomainError(
             f"boson fugacity must satisfy z < 1 (series domain), got z = {point.z!r}")
+    if point.z > _FERMION_Z_MAX:
+        raise DomainError(f"fermion fugacity must satisfy z <= {_FERMION_Z_MAX:.4g} "
+                          f"(8 z^2 overflows above it), got z = {point.z!r}")
     return None
 
 

@@ -9,10 +9,10 @@ L1 is a mean, L2 a variance, L3 a third cumulant.
 
 `cumulant_kernel(spec, z)` is the one integrand evaluator: it returns a
 function that maps an array of abscissae x to the rows (L0, L1, L2, L3),
-built from the excess sums (F0 - 1, F1, F2, F3) of `BosonThetaSeries` or of
-the fermion closed form.  Scalar entry points (`log_moments`,
-`boson_theta_sums`, `fermion_h_sums`) pass a one-element array through the
-same code.
+built from the excess sums (F0 - 1, F1, F2, F3) of `BosonThetaSeries`, which
+never stores a series at its full length, or of the fermion closed form.
+Scalar entry points (`log_moments`, `boson_theta_sums`, `fermion_h_sums`)
+pass a one-element array through the same code.
 """
 
 import math
@@ -31,7 +31,7 @@ __all__ = [
     "log_moments",
 ]
 
-# Truncating when terms fall below SERIES_TOL times the running sum keeps the
+# Truncating when terms fall below SERIES_TOL times the full sum keeps the
 # absolute series error near the rounding floor, which the quadrature
 # tolerances (1e-12 absolute) require.
 SERIES_TOL = 1e-16
@@ -47,7 +47,7 @@ _BLOCK = 2 ** 20
 
 
 class ConvergenceError(RuntimeError):
-    """Boson series failed to satisfy the truncation rule within max_terms."""
+    """Boson series failed to satisfy the truncation rule within MAX_TERMS."""
 
 
 class LogMoments(NamedTuple):
@@ -59,14 +59,25 @@ class LogMoments(NamedTuple):
     L3: float
 
 
+def _q1_sums(w):
+    """(F0 - 1, F1, F2, F3) at q = 1 from sum_m (m+1) w^m = (1 - w)^(-2), for
+    a float w (z: the full sums at x = 0) or an array (z e^(-x))."""
+    r = 1.0 / (1.0 - w)
+    # F0 - 1 = (1 - w)^(-2) - 1, written without the cancellation at small w
+    return (w * (2.0 - w) * r * r, 2.0 * w * r ** 3,
+            2.0 * w * (1.0 + 2.0 * w) * r ** 4,
+            2.0 * w * (1.0 + w * (7.0 + 4.0 * w)) * r ** 5)
+
+
 class BosonThetaSeries:
     """Reusable evaluator for F_k(x) = sum_m (m+1) m^k e^(-x{m}) z^m, k = 0..3.
 
-    The term count M is fixed once per (z, q, tol) from the x = 0 worst case
-    of the heaviest series (k = 3): summation stops when the current term is
-    below tol times the running sum and the term ratio has fallen below 1.
-    Every x > 0 only damps the terms, so M bounds the series at every
-    abscissa.  Each abscissa then evaluates only what it needs:
+    The term count M is fixed once per (z, q) from the x = 0 worst case of
+    the heaviest series (k = 3): M doubles from 64 until the last term is
+    below SERIES_TOL times the full sum (the q = 1 closed form at w = z) and
+    the term ratio has fallen below 1.  Every x > 0 only damps the terms, so
+    M bounds the series at every abscissa.  Each abscissa then evaluates
+    only what it needs:
 
     * q > 1: {m} grows like q^(2m), so from
       k(x) = floor(log1p(746 (q^2 - 1) / x) / (2 ln q)) + 2 on every term has
@@ -75,40 +86,39 @@ class BosonThetaSeries:
       weights (m+1) m^k z^m, k = 0..3.
     * q < 1: {m} rises to {inf} = 1/(1 - q^2).  From the k(x) where
       x ({inf} - {m}) < 1e-17 on, e^(-x{m}) equals e^(-x{inf}) to double
-      precision, so that tail is a precomputed weight sum times one
+      precision, so that tail is a precomputed weight sum T[k] times one
       exponential; the head is summed as for q > 1.
-    * q = 1: closed forms in w = z e^(-x), from sum (m+1) w^m = (1 - w)^(-2).
+    * q = 1: the closed forms of `_q1_sums` at w = z e^(-x).
 
+    No head is longer than K, so only the first min(K, M) terms are built.
     An array of abscissae is evaluated in one pass: the exponentials of all
     rows are taken over the widest head of the batch, each row is zeroed past
     its own k(x) (at q > 1 those terms are already 0.0), and one matrix
     product with the weights gives the sums.
     """
 
-    def __init__(self, z, q, tol=SERIES_TOL, max_terms=MAX_TERMS):
+    def __init__(self, z, q):
         if not 0.0 < z < 1.0:
             raise DomainError(f"boson series requires 0 < z < 1, got z = {z!r}")
         self.z = z
         self.q = q
-        # each doubling computes only the new half of the terms
-        m = np.arange(64, dtype=float)
-        zm = z ** m
-        t3 = (m + 1.0) * m ** 3 * zm
-        while not (t3[-1] == 0.0 or (t3[-1] < tol * t3.sum() and t3[-1] < t3[-2])):
-            M = len(m)
-            if M >= max_terms:
+        totals = _q1_sums(z)
+
+        def term3(m):
+            return (m + 1.0) * m ** 3 * z ** m
+
+        M = 64
+        while True:
+            last = term3(M - 1.0)
+            if last == 0.0 or (last < SERIES_TOL * totals[3] and last < term3(M - 2.0)):
+                break
+            if M >= MAX_TERMS:
                 raise ConvergenceError(
-                    f"boson series not converged within {max_terms} terms "
-                    f"(z = {z}, q = {q}, tol = {tol})")
-            new = np.arange(M, min(2 * M, max_terms), dtype=float)
-            zn = z ** new
-            m = np.concatenate((m, new))
-            zm = np.concatenate((zm, zn))
-            t3 = np.concatenate((t3, (new + 1.0) * new ** 3 * zn))
-        self._m = m
+                    f"boson series not converged within {MAX_TERMS} terms (z = {z}, q = {q})")
+            M = min(2 * M, MAX_TERMS)
+        self._m = range(M)
         if q == 1.0:
             return
-        M = len(m)
         log_q2 = 2.0 * math.log(q)
         if q > 1.0:
             # q^2 - 1 overflows for q above sqrt(float max); every x > 0 then
@@ -125,21 +135,21 @@ class BosonThetaSeries:
             # the head is longest at the largest x
             K = int((LOG_MAX + self._cut_log) * self._cut_rate) + 2
         K = self._k_max = min(K, M)
-        self._br = np.asarray(q_bracket(m[:K], q))  # may end in inf for q > 1
-        # Only the first K terms can be in a head.  Row k of W holds the
-        # weights (m+1) m^k z^m; the tail sums T[n] = sum_{m >= n} W[:, m],
-        # n <= K, are accumulated in extended precision, and T[0] serves x = 0.
-        W = np.ones((4, M))
+        m = np.arange(K, dtype=float)
+        self._br = np.asarray(q_bracket(m, q))  # may end in inf for q > 1
+        # row k of W holds the weights (m+1) m^k z^m
+        W = np.ones((4, K))
         for k in range(1, 4):
             np.multiply(W[k - 1], m, out=W[k])  # m^k, exact while m^3 < 2^53
-        W *= (m + 1.0) * zm
+        W *= (m + 1.0) * z ** m
         W[0, 0] = 0.0  # the m = 0 term is 1 in F0, so F0 - 1 leaves it out
-        self._weights = W[:, :K].T.copy()
-        rest = W[:, K:].sum(axis=1)
+        self._weights = W.T.copy()
+        # T[n] = total - sum_(m < n) W[:, m] in extended precision; T[0] serves
+        # x = 0.  Its error, ulps of the total, is ulps of a sum >= total e^(-x{inf}).
         self._tails = np.empty((K + 1, 4))
-        self._tails[K] = rest
-        head = np.cumsum(W[:, K - 1::-1], axis=1, dtype=np.longdouble)  # from m = K - 1 down
-        self._tails[:K] = (rest[:, None] + head)[:, ::-1].T
+        self._tails[0] = totals
+        self._tails[1:] = (np.array(totals, dtype=np.longdouble)
+                           - np.cumsum(W, axis=1, dtype=np.longdouble).T)
 
     def cut(self, x):
         """Head length k(x) at x >= 0 and q != 1 (see the class docstring).
@@ -167,12 +177,7 @@ class BosonThetaSeries:
         """
         xs = _abscissae(x)
         if self.q == 1.0:
-            w = self.z * np.exp(-xs)
-            r = 1.0 / (1.0 - w)
-            # F0 - 1 = (1 - w)^(-2) - 1, written without the cancellation at small w
-            out = np.stack((w * (2.0 - w) * r * r, 2.0 * w * r ** 3,
-                            2.0 * w * (1.0 + 2.0 * w) * r ** 4,
-                            2.0 * w * (1.0 + w * (7.0 + 4.0 * w)) * r ** 5), axis=1)
+            out = np.stack(_q1_sums(self.z * np.exp(-xs)), axis=1)
         else:
             k = self.cut(xs)
             # row blocks keep the exponential matrix within _BLOCK elements
@@ -205,13 +210,13 @@ def _abscissae(x):
     return xs
 
 
-def boson_theta_sums(x, z, q, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def boson_theta_sums(x, z, q):
     """Boson sums (F0, F1, F2, F3) with F_k = sum_m (m+1) m^k e^(-x{m}) z^m.
 
     F0 includes the m = 0 term, equal to 1.  Requires 0 < z < 1; raises
-    ConvergenceError if the truncation rule is not met within max_terms.
+    ConvergenceError if the truncation rule is not met within MAX_TERMS.
     """
-    s0, f1, f2, f3 = BosonThetaSeries(z, q, tol, max_terms).excess_sums(float(x))
+    s0, f1, f2, f3 = BosonThetaSeries(z, q).excess_sums(float(x))
     return 1.0 + s0, f1, f2, f3
 
 
@@ -254,22 +259,23 @@ def _cumulants(sums):
     out[:, 0] = np.log1p(excess0)
     out[:, 1] = r1
     out[:, 2] = f2 / f0 - r1 * r1
-    out[:, 3] = f3 / f0 - 3.0 * f1 * f2 / (f0 * f0) + 2.0 * r1 ** 3
+    # F1 F2 / F0^2 as r1 (F2 / F0): F0^2 overflows for fermions once z passes 1e77
+    out[:, 3] = f3 / f0 - 3.0 * r1 * (f2 / f0) + 2.0 * r1 ** 3
     return out
 
 
-def cumulant_kernel(spec, z, tol=SERIES_TOL):
+def cumulant_kernel(spec, z):
     """Integrand of the moment integrals: 1-D array x -> (n, 4) array of (L0, L1, L2, L3).
 
     F is f for bosons and h for fermions, and
     L0 = ln F0, L1 = F1/F0, L2 = F2/F0 - (F1/F0)^2,
-    L3 = F3/F0 - 3 F1 F2 / F0^2 + 2 (F1/F0)^3.
+    L3 = F3/F0 - 3 (F1/F0) (F2/F0) + 2 (F1/F0)^3.
     Raises DomainError outside the physical domain and, for bosons,
     ConvergenceError as BosonThetaSeries does.
     """
     validate_domain(spec, ThermoPoint(z=z))
     if spec.statistics == BOSON:
-        excess_sums = BosonThetaSeries(z, spec.q, tol).excess_sums
+        excess_sums = BosonThetaSeries(z, spec.q).excess_sums
     else:
         excess_sums = _fermion_excess_sums(z, spec.q)
 
@@ -279,6 +285,6 @@ def cumulant_kernel(spec, z, tol=SERIES_TOL):
     return kernel
 
 
-def log_moments(spec, x, z, tol=SERIES_TOL):
+def log_moments(spec, x, z):
     """LogMoments of the integrand F (f for bosons, h for fermions) at (x, z)."""
-    return LogMoments(*cumulant_kernel(spec, z, tol)(np.array([x], dtype=float))[0].tolist())
+    return LogMoments(*cumulant_kernel(spec, z)(np.array([x], dtype=float))[0].tolist())

@@ -5,12 +5,12 @@ integrand `distributions.cumulant_kernel`, so the four share one evaluation
 of the sums per abscissa.  That kernel sums a boson series only as far as the
 abscissa needs it: at q > 1 the terms past an x-dependent index are exactly
 zero, at q < 1 they form a precomputed tail, and q = 1 has closed forms (see
-`BosonThetaSeries`).  For D = 3 the
-substitution x = u^2 removes the x^(1/2) endpoint factor and makes the
-integrand analytic at the origin; for D = 2 the integrand is already smooth.
-The infinite tail is cut at x_max where the k = 0 integrand has fallen below
-the absolute tolerance (verified for k = 1..3 and enlarged if needed);
-beyond it every L_k decays like e^(-x).
+`BosonThetaSeries`).  Both dimensions integrate 2 u^(2 nu + 1) L_k(u^2) du
+in u = sqrt(x): it removes the x^(1/2) endpoint factor at D = 3 and widens
+the features near x = 0 at D = 2 (a small-q fermion steps at x ~ q^2, a
+large-q boson at x ~ q^-2).  The infinite tail is cut at x_max where the
+k = 0 integrand has fallen below ABS_TOL (verified for k = 1..3 and enlarged
+if needed); beyond it every L_k decays like e^(-x).
 
 `quad_vec` is a global-adaptive Gauss-Kronrod 21 integrator in the max norm
 (the QUADPACK error estimate, with the intervals of largest error bisected
@@ -24,10 +24,9 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
-from .core import BOSON, GasSpec, ThermoPoint, validate_domain
+from .core import GasSpec
 from .distributions import cumulant_kernel
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "QuadratureConfig",
     "ToleranceError",
     "moment_integrals",
-    "polylog_reference_q1",
     "quad_vec",
 ]
 
@@ -75,6 +73,10 @@ _GAUSS10_WEIGHTS = np.array([
 _EPS = sys.float_info.epsilon
 # most intervals bisected in one refinement step
 _BATCH = 128
+# absolute tolerance and most subintervals of a moment integral
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 200
+_X_MAX_PAD = 5.0  # added to the analytic tail cutoff ln(max(2z, 2) / ABS_TOL)
 
 
 class ToleranceError(RuntimeError):
@@ -87,23 +89,13 @@ class ToleranceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subdivision budget for the moment integrals.
-
-    The tail cutoff rule places x_max where x^nu L0(x) < abs_tol, starting
-    from the analytic estimate ln(max(2z, 2)/abs_tol) + x_max_pad and growing
-    by factors of 1.25 until all four integrand components clear abs_tol.
-    """
+    """Relative tolerance of the moment integrals (ABS_TOL and MAX_SUBDIVISIONS are fixed)."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    x_max_pad: float = 5.0
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
-        if self.abs_tol <= 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -229,20 +221,20 @@ def quad_vec(f, a, b, epsabs, epsrel, limit):
     return total, global_error + rounding_error, QuadInfo(neval, intervals, success)
 
 
-def _tail_cutoff(lfun, nu, z, cfg):
-    # leading tail is 2 z e^(-x) for both statistics
-    x_max = math.log(max(2.0 * z, 2.0) / cfg.abs_tol) + cfg.x_max_pad
-    while np.max(np.abs(lfun(np.array([x_max])))) * max(x_max ** nu, 1.0) >= cfg.abs_tol:
+def _tail_cutoff(lfun, nu, z):
+    # leading tail is 2 z e^(-x) for both statistics; grow until all four clear ABS_TOL
+    x_max = math.log(max(2.0 * z, 2.0) / ABS_TOL) + _X_MAX_PAD
+    while np.max(np.abs(lfun(np.array([x_max])))) * max(x_max ** nu, 1.0) >= ABS_TOL:
         x_max *= 1.25
         if x_max > 1e6:
             raise ToleranceError(
-                f"no integrand decay below abs_tol = {cfg.abs_tol} by x = {x_max:.3g}",
+                f"no integrand decay below abs_tol = {ABS_TOL} by x = {x_max:.3g}",
                 est_error=math.inf)
     return x_max
 
 
 def moment_integrals(spec, z, cfg=None):
-    """MomentSet (a, b, c, d) = int_0^x_max x^nu L_k dx by adaptive quadrature.
+    """MomentSet (a, b, c, d) = int_0^x_max x^nu L_k dx by adaptive quadrature in u = sqrt(x).
 
     Raises DomainError outside the physical domain and ToleranceError
     (carrying the achieved error estimate) if the subdivision budget is
@@ -251,21 +243,13 @@ def moment_integrals(spec, z, cfg=None):
     if cfg is None:
         cfg = QuadratureConfig()
     lfun = cumulant_kernel(spec, z)
-    x_max = _tail_cutoff(lfun, spec.nu, z, cfg)
+    x_max = _tail_cutoff(lfun, spec.nu, z)
 
-    if spec.dimension == 3:
-        # int x^(1/2) L dx = int 2 u^2 L(u^2) du under x = u^2
-        def integrand(u):
-            return (2.0 * u * u)[:, None] * lfun(u * u)
+    def integrand(u):
+        return (2.0 * u ** (2.0 * spec.nu + 1.0))[:, None] * lfun(u * u)
 
-        upper = math.sqrt(x_max)
-    else:
-        integrand = lfun
-        upper = x_max
-
-    res, err, info = quad_vec(
-        integrand, 0.0, upper,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions)
+    res, err, info = quad_vec(integrand, 0.0, math.sqrt(x_max),
+                              epsabs=ABS_TOL, epsrel=cfg.rel_tol, limit=MAX_SUBDIVISIONS)
     if not info.success:
         raise ToleranceError(
             f"quadrature did not converge for {spec} at z = {z}: "
@@ -274,30 +258,3 @@ def moment_integrals(spec, z, cfg=None):
     return MomentSet(a=a, b=b, c=c, d=d, est_error=float(err), spec=spec, z=z,
                      neval=info.neval, intervals=len(info.intervals))
 
-
-def polylog_reference_q1(spec, z):
-    """Undeformed-limit reference values (a, b, c, d) from polylogarithms.
-
-    At q = 1 the boson integrand is ln f = -2 ln(1 - z e^(-x)) and the
-    fermion one is ln h = 2 ln(1 + z e^(-x)), so each moment reduces to
-    a polylogarithm: a = 2 Gamma(nu+1) Li_(nu+2)(z) for bosons and
-    -2 Gamma(nu+1) Li_(nu+2)(-z) for fermions, with each theta lowering
-    the index by one.  Fermion arguments -z < -1 rely on the analytic
-    continuation; spurious imaginary round-off is stripped.
-    """
-    if spec.q != 1.0:
-        raise ValueError(f"polylog reference only applies at q = 1, got q = {spec.q}")
-    validate_domain(spec, ThermoPoint(z=z))
-    prefactor = 2.0 * float(mpmath.gamma(spec.nu + 1.0))
-    s_top = spec.nu + 2.0
-    sign = 1.0 if spec.statistics == BOSON else -1.0
-    arg = z if spec.statistics == BOSON else -z
-    out = []
-    for k in range(4):
-        v = mpmath.polylog(s_top - k, arg)
-        if isinstance(v, mpmath.mpc):
-            if abs(v.imag) > 1e-12 * max(1.0, abs(v.real)):
-                raise ArithmeticError(f"polylog returned complex value {v} at s = {s_top - k}")
-            v = v.real
-        out.append(sign * prefactor * float(v))
-    return tuple(out)

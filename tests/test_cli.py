@@ -85,6 +85,19 @@ class TestCurvatureSweeps:
         assert row["error"] == ""
         assert math.isfinite(float(row["R_reduced"]))
 
+    def test_huge_fugacity_fermion_row(self, tmp_path):
+        # z = 1e80 used to end in NaN (F0^2 overflowed); above 4.74e153 the
+        # z^2 term of F3 overflows and the row names z
+        out = tmp_path / "r.csv"
+        rc = main(["curvature-z", "--stat", "fermion", "--dim", "3", "--q", "0.5",
+                   "--z", "1e80,1e160", "--out", str(out)])
+        assert rc == 0
+        good, bad = read_csv(out)
+        assert good["error"] == ""
+        assert math.isfinite(float(good["R_reduced"]))
+        assert bad["R_reduced"] == ""
+        assert bad["error"].startswith("DomainError: fermion fugacity must satisfy z <= 4.74e+153")
+
     def test_all_points_invalid_exit_2(self, tmp_path):
         out = tmp_path / "r.csv"
         rc = main(["curvature-z", "--stat", "boson", "--q", "1",

@@ -1,6 +1,7 @@
 """Series and closed-form integrand sums and their theta-cumulants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,8 +61,10 @@ class TestBosonThetaSums:
             boson_theta_sums(-1.0, 0.5, 0.5)
 
     def test_nonconvergence_raises(self):
+        # the k = 3 terms peak near m = 4 / (1 - z) = 4e5 and are still above
+        # SERIES_TOL of their sum at MAX_TERMS
         with pytest.raises(ConvergenceError):
-            boson_theta_sums(0.0, 0.9, 1.0, max_terms=64)
+            boson_theta_sums(0.0, 1.0 - 1e-5, 1.0)
 
 
 class TestFermionHSums:
@@ -242,6 +245,17 @@ class TestArrayKernel:
     def test_series_length_matches_doubling_rule(self, z):
         # each doubling computes only the new half; M must not change
         assert len(BosonThetaSeries(z, 1.15)._m) == _doubling_rule_length(z)
+
+    @pytest.mark.parametrize("q", [0.5, 0.8, 1.0, 2.0])
+    def test_no_array_of_series_length(self, q):
+        # M = 65,536 at z = 0.999; only the first min(K, M) <= 1,682 terms are stored
+        tracemalloc.start()
+        try:
+            BosonThetaSeries(0.999, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("q", [1.001, 0.999])
     def test_block_boundary_batch_matches_one_row_calls(self, q):

@@ -203,3 +203,33 @@ class TestHugeDeformation:
         r_160 = curvature_closed_form(GasSpec("fermion", 1e-160, dim), z).R_reduced
         r_150 = curvature_closed_form(GasSpec("fermion", 1e-150, dim), z).R_reduced
         assert r_160 == r_150
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("z", [1e80, 1e150])
+    def test_fermion_huge_fugacity_finite(self, dim, z):
+        # F1 F2 / F0^2 with F0 ~ z^2 overflowed from z ~ 1.2e77 on
+        r = curvature_closed_form(GasSpec("fermion", 0.5, dim), z).R_reduced
+        assert math.isfinite(r) and r < 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fermion_fugacity_above_overflow_raises(self, dim):
+        # 8 z^2, the z^2 term of F3, overflows above z = 4.74e153
+        with pytest.raises(DomainError, match="z = 1e"):
+            curvature_closed_form(GasSpec("fermion", 0.5, dim), 1e160)
+
+
+class TestPlanarAgainstMpOracle:
+    """D = 2 points whose features near x = 0 the integral in x used to miss."""
+
+    @pytest.mark.parametrize("stat,q,z", [
+        # a small-q fermion steps at x ~ q^2
+        ("fermion", 0.01, 0.5), ("fermion", 0.01, 10.0), ("fermion", 0.01, 1e4),
+        ("fermion", 0.001, 1.0), ("fermion", 0.001, 30.0),
+        # a large-q boson changes at x ~ q^-2
+        ("boson", 100.0, 0.3), ("boson", 100.0, 0.9),
+        ("boson", 1000.0, 0.5), ("boson", 1000.0, 0.9),
+    ])
+    def test_matches_oracle(self, stat, q, z):
+        want = float(mp_oracle.curvature(stat, 2, q, z))
+        got = curvature_closed_form(GasSpec(stat, q, 2), z).R_reduced
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)

@@ -25,7 +25,7 @@ for stat, dim, kind, lo, hi in cases:
           f"q*({kind}) = {q_vir:.5f}   dev = {abs(q_curv - q_vir):.4f}")
 
 q_d2f = curvature_sign_boundary(GasSpec("fermion", 1.0, 2), z, 0.3, 8.0)
-print(f"  fermion  D=2  q*(R) = {q_d2f} (always fermion-like, as is zeta < 0)")
+print(f"  fermion  D=2  q*(R) = {q_d2f} (always fermion-like, as is zeta > 0)")
 
 # at the eta root the D=2 boson is ideal through second order: z(n) = n/2
 q_star = closed_form_threshold("eta")

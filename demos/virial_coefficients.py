@@ -3,7 +3,7 @@ Second-order virial coefficients and their roots
 ================================================
 
 alpha (fermion D=3), delta (boson D=3), eta (boson D=2) each change sign at
-one deformation value; zeta (fermion D=2) stays negative.  A positive
+one deformation value; zeta (fermion D=2) stays positive.  A positive
 coefficient raises the fugacity needed for a given density, the classic
 fermion signature, so the roots are the virial picture of transmutation.
 """

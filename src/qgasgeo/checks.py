@@ -15,7 +15,7 @@ import mpmath
 from .core import BOSON, FERMION, GasSpec, validate_domain
 from .geometry import NORM_RAW, curvature_closed_form, determinant_curvature_oracle, metric_tensor
 from .quadrature import moment_integrals
-from .virial import alpha, closed_form_threshold, delta, eta, virial_threshold
+from .virial import alpha, closed_form_threshold, delta, eta, virial_threshold, zeta_fermion_d2
 
 __all__ = [
     "CHECKS",
@@ -120,7 +120,8 @@ def virial_thresholds():
     zeta_none = virial_threshold("zeta") is None
     ref = 2.0 ** -3.5  # 1/(8 sqrt 2), independent arithmetic
     values_ok, worst_val = _within(
-        (abs(alpha(1.0) - ref), abs(delta(1.0) + ref), abs(eta(1.0) + 0.125)), value_tol)
+        (abs(alpha(1.0) - ref), abs(delta(1.0) + ref), abs(eta(1.0) + 0.125),
+         abs(zeta_fermion_d2(1.0) - 0.125)), value_tol)
     return (roots_ok and zeta_none and values_ok,
             f"root dev {worst_root:.3e} (tol {root_tol:g}), value dev {worst_val:.3e} "
             f"(tol {value_tol:g}), zeta threshold none: {zeta_none}")

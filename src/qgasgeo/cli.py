@@ -23,7 +23,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import __version__, checks
+from . import __version__
 from .core import BOSON, FERMION, DomainError, GasSpec
 from .distributions import ConvergenceError
 from .geometry import NORM_PAPER, NORM_RAW, DegenerateMetricError, curvature_closed_form
@@ -146,8 +146,11 @@ def _run_curvature_sweep(args, parser, mode):
 
 def _run_virial(args, parser):
     qs = _parse_values(parser, args.q, args.points, "q")
-    rows = [{"q": q, "alpha": alpha(q), "delta": delta(q),
-             "eta": eta(q), "zeta": zeta_fermion_d2(q)} for q in qs]
+    try:
+        rows = [{"q": q, "alpha": alpha(q), "delta": delta(q),
+                 "eta": eta(q), "zeta": zeta_fermion_d2(q)} for q in qs]
+    except DomainError as exc:
+        parser.error(f"--q: {exc}")
     _emit(rows, ["q", "alpha", "delta", "eta", "zeta"],
           args.format, args.out, _metadata(args, "virial"))
     return 0
@@ -182,6 +185,9 @@ def _run_signtable(args, parser):
 
 
 def _run_selfcheck(args):
+    # imported here: checks loads mpmath, which no other command needs
+    from . import checks
+
     t0 = time.perf_counter()
     passed = 0
     for name, check in checks.CHECKS:

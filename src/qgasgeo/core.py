@@ -84,15 +84,16 @@ class ThermoPoint:
 def q_bracket(x, q):
     """Deformed number {x} = (1 - q^(2x)) / (1 - q^2).
 
-    Evaluated as expm1(2 x ln q) / expm1(2 ln q), which is exact for every
-    q != 1 including q within rounding distance of 1; the q = 1 limit {x} = x
-    is returned directly.  Above q = sqrt(float max), where expm1(2 ln q)
-    overflows, the same ratio is taken as e^(t (x - 1)) expm1(-t x) / expm1(-t)
-    with t = 2 ln q.  Accepts scalar or array x.
+    Evaluated as expm1(2 x ln q) / expm1(2 ln q), which is accurate to a few
+    ulps (not exact) for every q != 1, including q within rounding distance
+    of 1; the q = 1 limit {x} = x is returned directly.  Above
+    q = sqrt(float max), where expm1(2 ln q) overflows, the same ratio is
+    taken as e^(t (x - 1)) expm1(-t x) / expm1(-t) with t = 2 ln q.  Accepts
+    scalar or array x.
 
     >>> q_bracket(3, 1.0)
     3.0
-    >>> q_bracket(2, 2.0)
+    >>> round(q_bracket(2, 2.0), 12)  # 1 + q^2; unrounded, one ulp below 5
     5.0
     """
     if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0):
@@ -137,14 +138,25 @@ def validate_domain(spec, point):
     return None
 
 
-def bisect(f, a, b, fa, xtol):
-    """Root of f on [a, b] by bisection, given fa = f(a) and a sign change on [a, b].
+def bisect(f, a, b, xtol):
+    """Root of f on [a, b] by bisection, or None when f(a) and f(b) share a sign.
 
-    Halves the step dm = b - a; the midpoint a + dm replaces a whenever f
-    there has the sign of fa (or is 0).  Returns the midpoint once f vanishes
-    there or |dm| < xtol + 4 eps |midpoint|.  Raises RuntimeError when f
-    returns NaN or after 100 halvings.
+    Evaluates both ends first and returns an end where f is exactly 0.  Then
+    halves the step dm = b - a; the midpoint a + dm replaces a whenever f
+    there has the sign of f(a) (or is 0).  Returns the midpoint once f
+    vanishes there or |dm| < xtol + 4 eps |midpoint|, the steps and roots of
+    scipy.optimize.bisect.  Raises RuntimeError when f returns NaN (at an end
+    or a midpoint) or after 100 halvings.
     """
+    fa, fb = f(a), f(b)
+    if math.isnan(fa) or math.isnan(fb):
+        raise RuntimeError(f"bisection: f is NaN at an end of [{a!r}, {b!r}]")
+    if fa == 0:
+        return float(a)
+    if fb == 0:
+        return float(b)
+    if (fa > 0) == (fb > 0):
+        return None
     dm = b - a
     for _ in range(_BISECT_STEPS):
         dm *= 0.5
@@ -155,5 +167,5 @@ def bisect(f, a, b, fa, xtol):
         if fm * fa >= 0:
             a = xm
         if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
-            return xm
+            return float(xm)
     raise RuntimeError(f"bisection not converged in {_BISECT_STEPS} steps (xtol = {xtol})")

@@ -222,15 +222,5 @@ def curvature_sign_boundary(spec, z, q_lo, q_hi, cfg=None):
     agree there is no crossing to find and None is returned, otherwise plain
     bisection tightens the bracket to |dq| < 1e-4.
     """
-    def R_of_q(q):
-        return curvature_closed_form(replace(spec, q=q), z, cfg).R_reduced
-
-    r_lo = R_of_q(q_lo)
-    r_hi = R_of_q(q_hi)
-    if r_lo == 0.0:
-        return float(q_lo)
-    if r_hi == 0.0:
-        return float(q_hi)
-    if math.copysign(1.0, r_lo) == math.copysign(1.0, r_hi):
-        return None
-    return float(bisect(R_of_q, q_lo, q_hi, r_lo, xtol=1e-4))
+    return bisect(lambda q: curvature_closed_form(replace(spec, q=q), z, cfg).R_reduced,
+                  q_lo, q_hi, xtol=1e-4)

@@ -121,12 +121,32 @@ class TestVirialCommand:
         assert list(row) == ["q", "alpha", "delta", "eta", "zeta"]
         assert float(row["alpha"]) == pytest.approx(2.0 ** -3.5, abs=1e-16)
         assert float(row["eta"]) == pytest.approx(-0.125, abs=1e-16)
+        assert float(row["zeta"]) == pytest.approx(0.125, abs=1e-16)
 
     def test_threshold_row_vanishes(self, tmp_path):
         out = tmp_path / "v.csv"
         main(["virial", "--q", repr(math.sqrt(2.0)), "--out", str(out)])
         assert abs(float(read_csv(out)[0]["eta"])) < 1e-15
 
+    def test_extreme_deformation_rows(self, tmp_path):
+        # the q -> 0 and q -> inf limits, where 1 + q^2 or 1 + q^-2 overflows
+        out = tmp_path / "v.csv"
+        rc = main(["virial", "--q", "1e-160,1e160", "--out", str(out)])
+        assert rc == 0
+        small, large = ({k: float(v) for k, v in row.items()} for row in read_csv(out))
+        s = 2.0 ** -0.5
+        want_small = {"alpha": s / 4, "delta": (s - 3.0) / 4, "eta": -0.5, "zeta": 0.25}
+        want_large = {"alpha": (s - 1.0) / 4, "delta": s / 4, "eta": 0.25, "zeta": 0.0}
+        for row, want in ((small, want_small), (large, want_large)):
+            for key, value in want.items():
+                assert row[key] == pytest.approx(value, abs=1e-16)
+
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_nonpositive_q_is_a_usage_error(self, bad, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["virial", "--q", bad])
+        assert err.value.code == 1
+        assert f"got {float(bad)!r}" in capsys.readouterr().err
 
     def test_huge_deformation_row(self, tmp_path):
         # q^2 - 1 overflows a double here; the row still gets a value
@@ -173,6 +193,8 @@ class TestExitCodes:
         [],
         ["curvature-z", "--rel-tol", "0"],
         ["signtable", "--rel-tol", "-1"],
+        ["virial", "--q", "0"],
+        ["virial", "--q", "-1"],
     ])
     def test_usage_errors_exit_1(self, argv):
         with pytest.raises(SystemExit) as err:

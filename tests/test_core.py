@@ -86,23 +86,35 @@ class TestBisect:
         return x ** 3 - 2.0
 
     def test_root_and_tolerance(self):
-        root = bisect(self.cubic, 0.0, 2.0, self.cubic(0.0), xtol=1e-12)
+        root = bisect(self.cubic, 0.0, 2.0, xtol=1e-12)
         assert abs(root - 2.0 ** (1.0 / 3.0)) < 2e-12
 
     def test_same_root_as_scipy_bisect(self):
         optimize = pytest.importorskip("scipy.optimize")
         for a, b, xtol in ((0.0, 2.0, 1e-12), (1.0, 1.5, 1e-4), (-3.0, 7.0, 1e-300)):
-            got = bisect(self.cubic, a, b, self.cubic(a), xtol)
+            got = bisect(self.cubic, a, b, xtol)
             assert got == optimize.bisect(self.cubic, a, b, xtol=xtol)
 
+    def test_same_sign_ends_return_none(self):
+        assert bisect(self.cubic, 2.0, 3.0, xtol=1e-12) is None
+        assert bisect(self.cubic, -3.0, 1.0, xtol=1e-12) is None
+
+    def test_zero_at_an_end_is_returned(self):
+        assert bisect(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
+        assert bisect(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
+
     def test_nan_raises(self):
-        with pytest.raises(RuntimeError):
-            bisect(lambda x: math.nan, 0.0, 1.0, -1.0, xtol=1e-6)
+        # NaN at both ends, at one end, and at the first midpoint only
+        for f in (lambda x: math.nan,
+                  lambda x: math.nan if x == 1.0 else x - 0.5,
+                  lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5):
+            with pytest.raises(RuntimeError):
+                bisect(f, 0.0, 1.0, xtol=1e-6)
 
     def test_step_budget_raises(self):
         # 100 halvings of a 1e300-wide bracket leave a step far above 4 eps |x|
         with pytest.raises(RuntimeError):
-            bisect(lambda x: x - 1e-300, 0.0, 1e300, -1e-300, xtol=0.0)
+            bisect(lambda x: x - 1e-300, 0.0, 1e300, xtol=0.0)
 
 
 class TestGasSpec:

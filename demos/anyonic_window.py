@@ -16,28 +16,22 @@ from dataclasses import replace
 import numpy as np
 
 from qgasgeo import GasSpec, curvature_closed_form, curvature_sign_boundary
+from qgasgeo.core import bisect
 
 zs = np.linspace(0.05, 0.97, 24)
+rows = {}
 for q in (1.15, 1.5):
-    spec = GasSpec("boson", q, 2)
-    rs = [curvature_closed_form(spec, float(z)).R_reduced for z in zs]
-    print(f"q = {q:<5g} sign(R):", "".join("+" if r > 0 else "-" for r in rs))
+    rows[q] = [curvature_closed_form(GasSpec("boson", q, 2), float(z)).R_reduced for z in zs]
+    print(f"q = {q:<5g} sign(R):", "".join("+" if r > 0 else "-" for r in rows[q]))
 
-# bisect the crossing of the q = 1.15 isotherm in z by scanning the grid
+# bisect the crossing of the q = 1.15 isotherm in the grid cell where R changes sign
 spec = GasSpec("boson", 1.15, 2)
-rs = [curvature_closed_form(spec, float(z)).R_reduced for z in zs]
+rs = rows[1.15]
 for z1, z2, r1, r2 in zip(zs, zs[1:], rs, rs[1:]):
     if r1 * r2 < 0:
-        # refine with the q-boundary helper transposed to z via a local lambda:
-        # plain interval halving is enough at table resolution
-        lo, hi = float(z1), float(z2)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if curvature_closed_form(spec, mid).R_reduced * r1 > 0:
-                lo = mid
-            else:
-                hi = mid
-        print(f"\nq = 1.15 crossing at z = {0.5 * (lo + hi):.6f}")
+        z_star = bisect(lambda z: curvature_closed_form(spec, z).R_reduced,
+                        float(z1), float(z2), xtol=1e-9)
+        print(f"\nq = 1.15 crossing at z = {z_star:.6f}")
 
 # and the crossing in q at fixed z, on both sides of the window
 for z in (0.05, 0.9):

@@ -19,7 +19,6 @@ from .core import (
     FERMION,
     DomainError,
     GasSpec,
-    ThermoPoint,
     q_bracket,
     validate_domain,
 )
@@ -32,8 +31,6 @@ from .distributions import (
     log_moments,
 )
 from .geometry import (
-    NORM_PAPER,
-    NORM_RAW,
     CurvatureResult,
     DegenerateMetricError,
     MetricTensor,
@@ -46,7 +43,6 @@ from .geometry import (
 )
 from .quadrature import (
     MomentSet,
-    QuadratureConfig,
     ToleranceError,
     moment_integrals,
 )
@@ -68,8 +64,6 @@ __all__ = [
     "BOSON",
     "FERMION",
     "KINDS",
-    "NORM_PAPER",
-    "NORM_RAW",
     "ConvergenceError",
     "CurvatureResult",
     "DegenerateMetricError",
@@ -79,9 +73,7 @@ __all__ = [
     "MetricTensor",
     "MomentSet",
     "OutOfVirialRangeError",
-    "QuadratureConfig",
     "StepSizeError",
-    "ThermoPoint",
     "ToleranceError",
     "alpha",
     "boson_theta_sums",

@@ -13,7 +13,7 @@ functions.  A NaN deviation fails its check.
 import mpmath
 
 from .core import BOSON, FERMION, GasSpec, validate_domain
-from .geometry import NORM_RAW, curvature_closed_form, determinant_curvature_oracle, metric_tensor
+from .geometry import curvature_closed_form, determinant_curvature_oracle, metric_tensor
 from .quadrature import moment_integrals
 from .virial import alpha, closed_form_threshold, delta, eta, virial_threshold, zeta_fermion_d2
 
@@ -57,12 +57,12 @@ def _within(devs, tol):
 
 
 def oracle_agreement():
-    """Closed form (raw) vs determinant oracle at beta = 1 over the grid, 1e-5 relative."""
+    """Closed form vs determinant oracle at beta = 1 over the grid, 1e-5 relative."""
     tol = 1e-5
     points = _grid()
     devs = []
     for spec, z in points:
-        r_closed = curvature_closed_form(spec, z, normalization=NORM_RAW).R_reduced
+        r_closed = curvature_closed_form(spec, z).R_reduced
         r_oracle = determinant_curvature_oracle(spec, 1.0, z)
         devs.append(abs(r_closed - r_oracle) / abs(r_oracle))
     ok, worst = _within(devs, tol)

@@ -26,13 +26,15 @@ import numpy as np
 from . import __version__
 from .core import BOSON, FERMION, DomainError, GasSpec
 from .distributions import ConvergenceError
-from .geometry import NORM_PAPER, NORM_RAW, DegenerateMetricError, curvature_closed_form
-from .quadrature import QuadratureConfig, ToleranceError
+from .geometry import DegenerateMetricError, curvature_closed_form
+from .quadrature import REL_TOL, ToleranceError
 from .virial import alpha, delta, eta, zeta_fermion_d2
 
 __all__ = ["main"]
 
 _POINT_ERRORS = (DomainError, ConvergenceError, ToleranceError, DegenerateMetricError)
+# the one curvature normalization (twice the plain scalar curvature of g)
+_NORMALIZATION = "paper"
 
 # standard sign-table rows: R > 0 boson-like, R < 0 fermion-like
 _SIGNTABLE_QS = {
@@ -73,17 +75,6 @@ def _parse_values(parser, text, points, what):
                      f"use 'v1,v2,...' or 'lo:hi' with --points")
 
 
-def _rel_tol(text):
-    """--rel-tol value: a float in (0, 1), as QuadratureConfig requires."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
-
-
 def _open_out(path):
     if path in (None, "-"):
         return nullcontext(sys.stdout)
@@ -104,22 +95,22 @@ def _emit(rows, fieldnames, fmt, out_path, metadata):
                      for k in fieldnames])
 
 
-def _metadata(args, mode):
+def _metadata(mode):
     return {
         "generator": "qgasgeo",
         "version": __version__,
         "mode": mode,
-        "normalization": getattr(args, "normalization", None),
-        "rel_tol": getattr(args, "rel_tol", None),
+        "normalization": _NORMALIZATION,
+        "rel_tol": REL_TOL,
     }
 
 
-def _curvature_row(stat, dim, q, z, normalization, cfg):
+def _curvature_row(stat, dim, q, z):
     row = {"statistics": stat, "D": dim, "q": q, "z": z,
-           "R_reduced": "", "normalization": normalization, "error": ""}
+           "R_reduced": "", "normalization": _NORMALIZATION, "error": ""}
     try:
         spec = GasSpec(stat, q, dim)
-        row["R_reduced"] = curvature_closed_form(spec, z, cfg, normalization).R_reduced
+        row["R_reduced"] = curvature_closed_form(spec, z).R_reduced
     except _POINT_ERRORS as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -134,11 +125,10 @@ def _run_curvature_sweep(args, parser, mode):
         zs = _parse_values(parser, args.z, args.points, "z")
         qs = _parse_values(parser, args.q, args.points, "q")
         grid = [(q, z) for z in zs for q in qs]
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
-    rows = [_curvature_row(args.stat, args.dim, q, z, args.normalization, cfg) for q, z in grid]
+    rows = [_curvature_row(args.stat, args.dim, q, z) for q, z in grid]
 
     fieldnames = ["statistics", "D", "q", "z", "R_reduced", "normalization", "error"]
-    _emit(rows, fieldnames, args.format, args.out, _metadata(args, mode))
+    _emit(rows, fieldnames, args.format, args.out, _metadata(mode))
     if rows and all(r["error"] for r in rows):
         return 2
     return 0
@@ -152,24 +142,23 @@ def _run_virial(args, parser):
     except DomainError as exc:
         parser.error(f"--q: {exc}")
     _emit(rows, ["q", "alpha", "delta", "eta", "zeta"],
-          args.format, args.out, _metadata(args, "virial"))
+          args.format, args.out, _metadata("virial"))
     return 0
 
 
 def _run_signtable(args, parser):
     z = args.z
-    cfg = QuadratureConfig(rel_tol=args.rel_tol)
     rows = []
     for (dim, stat), qs in _SIGNTABLE_QS.items():
         for q in qs:
-            row = _curvature_row(stat, dim, q, z, NORM_PAPER, cfg)
+            row = _curvature_row(stat, dim, q, z)
             value = row["R_reduced"]
             row["sign"] = "" if row["error"] else ("+" if value > 0 else "-")
             rows.append(row)
     fieldnames = ["statistics", "D", "q", "z", "R_reduced", "normalization", "sign", "error"]
     if args.format == "table":
         with _open_out(args.out) as fh:
-            fh.write(f"sign of R at z = {z:g} ({NORM_PAPER} normalization)\n")
+            fh.write(f"sign of R at z = {z:g} ({_NORMALIZATION} normalization)\n")
             for (dim, stat), qs in _SIGNTABLE_QS.items():
                 signs = [r["sign"] or "?" for r in rows
                          if r["D"] == dim and r["statistics"] == stat]
@@ -178,7 +167,7 @@ def _run_signtable(args, parser):
                 fh.write(f"\nD={dim} {stat:<8} q: {qcells}\n")
                 fh.write(f"   {'':<8} R: {scells}\n")
     else:
-        _emit(rows, fieldnames, args.format, args.out, _metadata(args, "signtable"))
+        _emit(rows, fieldnames, args.format, args.out, _metadata("signtable"))
     if rows and all(r["error"] for r in rows):
         return 2
     return 0
@@ -219,10 +208,6 @@ def _add_common(sub, *, stat=None, dim=None, q=None, z=None, points=49):
                          help="fugacity values (default %(default)s)")
     sub.add_argument("--points", type=int, default=points,
                      help="grid size for LO:HI ranges (default %(default)s)")
-    sub.add_argument("--normalization", choices=[NORM_PAPER, NORM_RAW], default=NORM_PAPER,
-                     help="curvature normalization; paper = 2 x raw (default %(default)s)")
-    sub.add_argument("--rel-tol", type=_rel_tol, default=1e-10, dest="rel_tol",
-                     help="quadrature relative tolerance (default %(default)s)")
     sub.add_argument("--format", choices=["csv", "json"], default="csv",
                      help="output format (default %(default)s)")
     sub.add_argument("--out", default=None, metavar="PATH",
@@ -249,8 +234,6 @@ def _build_parser():
     p = sub.add_parser("signtable", help="sign of R at small fugacity, standard q values")
     p.add_argument("--z", type=float, default=0.05,
                    help="fugacity at which signs are evaluated (default %(default)s)")
-    p.add_argument("--rel-tol", type=_rel_tol, default=1e-10, dest="rel_tol",
-                   help="quadrature relative tolerance (default %(default)s)")
     p.add_argument("--format", choices=["csv", "json", "table"], default="table",
                    help="output format (default %(default)s)")
     p.add_argument("--out", default=None, metavar="PATH",

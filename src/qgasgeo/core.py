@@ -17,7 +17,6 @@ __all__ = [
     "FERMION",
     "DomainError",
     "GasSpec",
-    "ThermoPoint",
     "bisect",
     "q_bracket",
     "validate_domain",
@@ -69,18 +68,6 @@ class GasSpec:
         return self.dimension / 2.0
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
-    """A point (z, beta) of the two-parameter manifold.
-
-    The geometric coordinates are beta^1 = beta and beta^2 = gamma = -beta mu,
-    so the fugacity z = exp(beta mu) determines gamma = -ln z.
-    """
-
-    z: float
-    beta: float = 1.0
-
-
 def q_bracket(x, q):
     """Deformed number {x} = (1 - q^(2x)) / (1 - q^2).
 
@@ -113,28 +100,25 @@ def q_bracket(x, q):
     return out if out.ndim else float(out)
 
 
-def validate_domain(spec, point):
-    """Check that (spec, point) is inside the physical domain.
+def validate_domain(spec, z, beta=1.0):
+    """Check that fugacity z and inverse temperature beta lie in spec's physical domain.
 
-    Fermion gases accept 0 < z <= 4.74e153.  Boson gases are restricted to
-    0 < z < 1 for every q: the defining series diverges at z >= 1 for
-    q <= 1, and the x -> 0 edge is log-divergent for z >= 1, q > 1.
-    Raises DomainError naming the violated constraint; returns None.
-
-    `point` may be a ThermoPoint or a bare fugacity.
+    beta must be finite and > 0.  Fermion gases accept 0 < z <= 4.74e153.
+    Boson gases are restricted to 0 < z < 1 for every q: the defining series
+    diverges at z >= 1 for q <= 1, and the x -> 0 edge is log-divergent for
+    z >= 1, q > 1.  Raises DomainError naming the violated constraint;
+    returns None.
     """
-    if not isinstance(point, ThermoPoint):
-        point = ThermoPoint(z=float(point))
-    if not (math.isfinite(point.beta) and point.beta > 0):
-        raise DomainError(f"beta must be finite and > 0, got {point.beta!r}")
-    if not (math.isfinite(point.z) and point.z > 0):
-        raise DomainError(f"fugacity z must be finite and > 0, got {point.z!r}")
-    if spec.statistics == BOSON and point.z >= 1.0:
+    if not (math.isfinite(beta) and beta > 0):
+        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
+    if not (math.isfinite(z) and z > 0):
+        raise DomainError(f"fugacity z must be finite and > 0, got {z!r}")
+    if spec.statistics == BOSON and z >= 1.0:
         raise DomainError(
-            f"boson fugacity must satisfy z < 1 (series domain), got z = {point.z!r}")
-    if point.z > _FERMION_Z_MAX:
+            f"boson fugacity must satisfy z < 1 (series domain), got z = {z!r}")
+    if z > _FERMION_Z_MAX:
         raise DomainError(f"fermion fugacity must satisfy z <= {_FERMION_Z_MAX:.4g} "
-                          f"(8 z^2 overflows above it), got z = {point.z!r}")
+                          f"(8 z^2 overflows above it), got z = {z!r}")
     return None
 
 

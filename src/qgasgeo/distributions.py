@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BOSON, LOG_MAX, DomainError, ThermoPoint, q_bracket, validate_domain
+from .core import BOSON, LOG_MAX, DomainError, q_bracket, validate_domain
 
 __all__ = [
     "ConvergenceError",
@@ -273,7 +273,7 @@ def cumulant_kernel(spec, z):
     Raises DomainError outside the physical domain and, for bosons,
     ConvergenceError as BosonThetaSeries does.
     """
-    validate_domain(spec, ThermoPoint(z=z))
+    validate_domain(spec, z)
     if spec.statistics == BOSON:
         excess_sums = BosonThetaSeries(z, spec.q).excess_sums
     else:

@@ -11,10 +11,13 @@ so the components reduce to the theta-moment integrals:
     g22 = K beta^(-p) c
 
 The scalar curvature in reduced units lambda^D / volume depends only on
-(z, q, D).  Two independent evaluations are provided: the closed form in the
-moments (numerator N = b^2 c + a b d - 2 a c^2) and a determinant oracle
-built directly from the metric components and their derivatives.  R > 0 is
-the boson-like regime (effective statistical attraction), R < 0 fermion-like.
+(z, q, D).  It is reported in one normalization, twice the plain scalar
+curvature of g (the two-component counting convention the model's published
+curves use).  Two independent evaluations are provided, both in that
+normalization: the closed form in the moments (numerator
+N = b^2 c + a b d - 2 a c^2) and a determinant oracle built directly from the
+metric components and their derivatives.  R > 0 is the boson-like regime
+(effective statistical attraction), R < 0 fermion-like.
 """
 
 import math
@@ -22,12 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GasSpec, ThermoPoint, bisect, validate_domain
+from .core import GasSpec, bisect, validate_domain
 from .quadrature import MomentSet, moment_integrals
 
 __all__ = [
-    "NORM_PAPER",
-    "NORM_RAW",
     "CurvatureResult",
     "DegenerateMetricError",
     "MetricTensor",
@@ -40,12 +41,6 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
-
-# 'paper' doubles the raw scalar curvature (two-component counting convention,
-# the normalization the model's published curves use); 'raw' is the plain
-# curvature of g.  paper = 2 * raw exactly.
-NORM_PAPER = "paper"
-NORM_RAW = "raw"
 
 # Denominators below this magnitude signal a degenerate metric, which the
 # model does not produce anywhere in its physical domain.
@@ -80,10 +75,9 @@ class MetricTensor:
 
 @dataclass(frozen=True)
 class CurvatureResult:
-    """Reduced scalar curvature with its normalization and the moments used."""
+    """Reduced scalar curvature and the moments used."""
 
     R_reduced: float
-    normalization: str
     moments: MomentSet
 
 
@@ -102,22 +96,20 @@ def _components(spec, beta, abc):
     return g11, g12, g22
 
 
-def metric_tensor(spec, beta, z, cfg=None):
+def metric_tensor(spec, beta, z):
     """Metric components at (beta, z) from the theta moments.
 
     All moments are positive, so g12 > 0 in this sign convention.  Raises
     DomainError unless beta is finite and > 0 and z is in the domain.
     """
-    validate_domain(spec, ThermoPoint(z=z, beta=beta))
-    m = moment_integrals(spec, z, cfg)
+    validate_domain(spec, z, beta)
+    m = moment_integrals(spec, z)
     g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
     return MetricTensor(g11=g11, g12=g12, g22=g22, beta=beta, spec=spec)
 
 
-def curvature_from_moments(spec, moments, normalization=NORM_PAPER):
+def curvature_from_moments(spec, moments):
     """Closed-form reduced curvature from an existing MomentSet."""
-    if normalization not in (NORM_PAPER, NORM_RAW):
-        raise ValueError(f"normalization must be 'paper' or 'raw', got {normalization!r}")
     a, b, c, d = moments
     numerator = b * b * c + a * b * d - 2.0 * a * c * c
     if spec.dimension == 3:
@@ -130,22 +122,20 @@ def curvature_from_moments(spec, moments, normalization=NORM_PAPER):
         raise DegenerateMetricError(
             f"metric denominator {denom!r} below {_DEGENERATE_FLOOR} for {spec} at z = {moments.z}")
     R = scale * numerator / (denom * denom)
-    if normalization == NORM_RAW:
-        R /= 2.0
-    return CurvatureResult(R_reduced=R, normalization=normalization, moments=moments)
+    return CurvatureResult(R_reduced=R, moments=moments)
 
 
-def curvature_closed_form(spec, z, cfg=None, normalization=NORM_PAPER):
+def curvature_closed_form(spec, z):
     """Reduced scalar curvature at fugacity z via the closed form.
 
     R = 5 sqrt(pi) N / (5ac - 3b^2)^2 for D = 3 and 2 N / (2ac - b^2)^2 for
-    D = 2 in the doubled ('paper') normalization, N = b^2 c + a b d - 2 a c^2;
-    'raw' halves these.  Units are lambda^D / volume, so beta drops out.
+    D = 2, N = b^2 c + a b d - 2 a c^2, twice the plain scalar curvature of g.
+    Units are lambda^D / volume, so beta drops out.
     """
-    return curvature_from_moments(spec, moment_integrals(spec, z, cfg), normalization)
+    return curvature_from_moments(spec, moment_integrals(spec, z))
 
 
-def _gamma_derivative_fd(spec, beta, z, h, cfg):
+def _gamma_derivative_fd(spec, beta, z, h):
     """Central gamma-derivatives of (g11, g12, g22) with a step-size check.
 
     gamma = -ln z, so gamma +/- h corresponds to z e^(-+ h).  The forward/
@@ -154,7 +144,7 @@ def _gamma_derivative_fd(spec, beta, z, h, cfg):
     amplified by 1/h) both trip the check.
     """
     def g_at(zz):
-        m = moment_integrals(spec, zz, cfg)
+        m = moment_integrals(spec, zz)
         return np.array(_components(spec, beta, (m.a, m.b, m.c)))
 
     g0 = g_at(z)
@@ -172,28 +162,30 @@ def _gamma_derivative_fd(spec, beta, z, h, cfg):
     return central
 
 
-def determinant_curvature_oracle(spec, beta, z, fd_step=None, cfg=None):
-    """Scalar curvature via the 3x3 determinant, raw normalization, reduced units.
+def determinant_curvature_oracle(spec, beta, z, fd_step=None):
+    """Reduced scalar curvature via the 3x3 determinant, in the closed form's normalization.
 
-    For a two-parameter Hessian metric the curvature reduces to
+    For a two-parameter Hessian metric the plain scalar curvature is
 
-        R = det [[g11,    g22,    g12   ],
-                 [d_b g11, d_b g22, d_b g12],
-                 [d_g g11, d_g g22, d_g g12]] / (2 (det g)^2),
+        det [[g11,    g22,    g12   ],
+             [d_b g11, d_b g22, d_b g12],
+             [d_g g11, d_g g22, d_g g12]] / (2 (det g)^2),
 
-    equivalent to the Levi-Civita computation (checked symbolically).  The
-    beta-derivatives use the exact power-law structure.  The gamma-derivatives
-    default to the analytic ladder da/dgamma = -b, db/dgamma = -c,
-    dc/dgamma = -d; passing fd_step switches them to central finite
-    differences in gamma, a slower path that never touches the third moment
-    and is therefore independent of the ladder sign convention.
+    equivalent to the Levi-Civita computation (checked symbolically); the
+    oracle returns twice it, the determinant over (det g)^2, as
+    `curvature_closed_form` does.  The beta-derivatives use the exact
+    power-law structure.  The gamma-derivatives default to the analytic
+    ladder da/dgamma = -b, db/dgamma = -c, dc/dgamma = -d; passing fd_step
+    switches them to central finite differences in gamma, a slower path that
+    never touches the third moment and is therefore independent of the ladder
+    sign convention.
 
     The reduced result (units lambda^D / volume) is independent of beta.
     Raises DomainError unless beta is finite and > 0 and z is in the domain.
     """
-    validate_domain(spec, ThermoPoint(z=z, beta=beta))
+    validate_domain(spec, z, beta)
     p = spec.p
-    m = moment_integrals(spec, z, cfg)
+    m = moment_integrals(spec, z)
     g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
     # ln Z = K beta^(-p) a: each component scales as a pure power of beta
     db_g11 = -(p + 2.0) / beta * g11
@@ -202,25 +194,25 @@ def determinant_curvature_oracle(spec, beta, z, fd_step=None, cfg=None):
     if fd_step is None:
         dg_g11, dg_g12, dg_g22 = _components(spec, beta, (-m.b, -m.c, -m.d))
     else:
-        dg_g11, dg_g12, dg_g22 = _gamma_derivative_fd(spec, beta, z, fd_step, cfg)
+        dg_g11, dg_g12, dg_g22 = _gamma_derivative_fd(spec, beta, z, fd_step)
     det_g = g11 * g22 - g12 * g12
     if det_g < _DEGENERATE_FLOOR:
         raise DegenerateMetricError(f"det g = {det_g!r} not positive for {spec} at z = {z}")
     M = np.array([[g11, g22, g12],
                   [db_g11, db_g22, db_g12],
                   [dg_g11, dg_g22, dg_g12]])
-    R = float(np.linalg.det(M)) / (2.0 * det_g * det_g)
+    R = float(np.linalg.det(M)) / (det_g * det_g)
     # convert to units lambda^D / volume with lambda^D = beta^(D/2) and
     # volume 1; all beta dependence cancels
     return R / beta ** (spec.dimension / 2.0)
 
 
-def curvature_sign_boundary(spec, z, q_lo, q_hi, cfg=None):
+def curvature_sign_boundary(spec, z, q_lo, q_hi):
     """Deformation q* in (q_lo, q_hi) where R changes sign, or None.
 
     Evaluates the closed-form curvature at the bracket ends; if the signs
     agree there is no crossing to find and None is returned, otherwise plain
     bisection tightens the bracket to |dq| < 1e-4.
     """
-    return bisect(lambda q: curvature_closed_form(replace(spec, q=q), z, cfg).R_reduced,
+    return bisect(lambda q: curvature_closed_form(replace(spec, q=q), z).R_reduced,
                   q_lo, q_hi, xtol=1e-4)

@@ -32,7 +32,6 @@ from .distributions import cumulant_kernel
 __all__ = [
     "MomentSet",
     "QuadInfo",
-    "QuadratureConfig",
     "ToleranceError",
     "moment_integrals",
     "quad_vec",
@@ -73,7 +72,8 @@ _GAUSS10_WEIGHTS = np.array([
 _EPS = sys.float_info.epsilon
 # most intervals bisected in one refinement step
 _BATCH = 128
-# absolute tolerance and most subintervals of a moment integral
+# relative and absolute tolerance and most subintervals of a moment integral
+REL_TOL = 1e-10
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 200
 _X_MAX_PAD = 5.0  # added to the analytic tail cutoff ln(max(2z, 2) / ABS_TOL)
@@ -85,17 +85,6 @@ class ToleranceError(RuntimeError):
     def __init__(self, message, est_error):
         super().__init__(message)
         self.est_error = est_error
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Relative tolerance of the moment integrals (ABS_TOL and MAX_SUBDIVISIONS are fixed)."""
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -233,15 +222,13 @@ def _tail_cutoff(lfun, nu, z):
     return x_max
 
 
-def moment_integrals(spec, z, cfg=None):
+def moment_integrals(spec, z):
     """MomentSet (a, b, c, d) = int_0^x_max x^nu L_k dx by adaptive quadrature in u = sqrt(x).
 
     Raises DomainError outside the physical domain and ToleranceError
     (carrying the achieved error estimate) if the subdivision budget is
     exhausted before the tolerances are met.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     lfun = cumulant_kernel(spec, z)
     x_max = _tail_cutoff(lfun, spec.nu, z)
 
@@ -249,7 +236,7 @@ def moment_integrals(spec, z, cfg=None):
         return (2.0 * u ** (2.0 * spec.nu + 1.0))[:, None] * lfun(u * u)
 
     res, err, info = quad_vec(integrand, 0.0, math.sqrt(x_max),
-                              epsabs=ABS_TOL, epsrel=cfg.rel_tol, limit=MAX_SUBDIVISIONS)
+                              epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS)
     if not info.success:
         raise ToleranceError(
             f"quadrature did not converge for {spec} at z = {z}: "

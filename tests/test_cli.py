@@ -51,16 +51,6 @@ class TestCurvatureSweeps:
         zs = [float(r["z"]) for r in read_csv(out)]
         assert zs == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
 
-    def test_raw_normalization_flag(self, tmp_path):
-        out_p = tmp_path / "p.csv"
-        out_r = tmp_path / "raw.csv"
-        main(["curvature-z", "--q", "1", "--z", "0.5", "--out", str(out_p)])
-        main(["curvature-z", "--q", "1", "--z", "0.5",
-              "--normalization", "raw", "--out", str(out_r)])
-        rp = float(read_csv(out_p)[0]["R_reduced"])
-        rr = float(read_csv(out_r)[0]["R_reduced"])
-        assert rp == 2.0 * rr
-
     def test_per_point_error_column(self, tmp_path):
         # z = 1.5 is outside the boson domain; the sweep must carry on
         out = tmp_path / "r.csv"
@@ -195,6 +185,9 @@ class TestExitCodes:
         ["signtable", "--rel-tol", "-1"],
         ["virial", "--q", "0"],
         ["virial", "--q", "-1"],
+        # the quadrature tolerance and the curvature normalization are not options
+        ["curvature-z", "--rel-tol", "1e-8"],
+        ["virial", "--normalization", "raw"],
     ])
     def test_usage_errors_exit_1(self, argv):
         with pytest.raises(SystemExit) as err:

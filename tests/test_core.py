@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qgasgeo import DomainError, GasSpec, ThermoPoint, q_bracket, validate_domain
+from qgasgeo import DomainError, GasSpec, q_bracket, validate_domain
 from qgasgeo.core import bisect
 
 
@@ -138,14 +138,14 @@ class TestGasSpec:
 
 class TestValidateDomain:
     def test_boson_inside(self):
-        validate_domain(GasSpec("boson", 0.5, 3), ThermoPoint(z=0.99))
+        validate_domain(GasSpec("boson", 0.5, 3), 0.99)
 
     def test_boson_rejects_z_above_1(self):
         with pytest.raises(DomainError, match="z < 1"):
-            validate_domain(GasSpec("boson", 0.5, 3), ThermoPoint(z=1.1))
+            validate_domain(GasSpec("boson", 0.5, 3), 1.1)
 
     def test_fermion_accepts_large_z(self):
-        validate_domain(GasSpec("fermion", 10.0, 3), ThermoPoint(z=10.0))
+        validate_domain(GasSpec("fermion", 10.0, 3), 10.0)
 
     def test_bare_fugacity_accepted(self):
         validate_domain(GasSpec("fermion", 1.0, 2), 3.0)
@@ -155,6 +155,6 @@ class TestValidateDomain:
     def test_rejects_nonpositive_z_and_beta(self):
         spec = GasSpec("fermion", 1.0, 3)
         with pytest.raises(DomainError):
-            validate_domain(spec, ThermoPoint(z=-0.5))
+            validate_domain(spec, -0.5)
         with pytest.raises(DomainError):
-            validate_domain(spec, ThermoPoint(z=0.5, beta=0.0))
+            validate_domain(spec, 0.5, beta=0.0)

@@ -7,8 +7,6 @@ import pytest
 
 from qgasgeo import geometry
 from qgasgeo import (
-    NORM_PAPER,
-    NORM_RAW,
     DegenerateMetricError,
     DomainError,
     GasSpec,
@@ -74,17 +72,9 @@ class TestCurvatureClosedForm:
     @pytest.mark.parametrize("spec", GRID)
     @pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
     def test_matches_determinant_oracle(self, spec, z):
-        closed = curvature_closed_form(spec, z, normalization=NORM_RAW).R_reduced
+        closed = curvature_closed_form(spec, z).R_reduced
         oracle = determinant_curvature_oracle(spec, 1.0, z)
         assert closed == pytest.approx(oracle, rel=1e-10)
-
-    @pytest.mark.parametrize("spec", GRID)
-    def test_paper_doubles_raw(self, spec):
-        paper = curvature_closed_form(spec, 0.5, normalization=NORM_PAPER)
-        raw = curvature_closed_form(spec, 0.5, normalization=NORM_RAW)
-        assert paper.R_reduced == 2.0 * raw.R_reduced
-        assert paper.normalization == NORM_PAPER
-        assert raw.normalization == NORM_RAW
 
     @pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
     def test_oracle_beta_independent(self, beta):
@@ -108,10 +98,6 @@ class TestCurvatureClosedForm:
         r = curvature_closed_form(spec, 0.5)
         assert isinstance(r.moments, MomentSet)
         assert r.moments.z == 0.5
-
-    def test_rejects_unknown_normalization(self):
-        with pytest.raises(ValueError):
-            curvature_closed_form(GasSpec("boson", 1.0, 3), 0.5, normalization="bogus")
 
 
 class TestFiniteDifferenceMode:
@@ -172,9 +158,9 @@ class TestSignBoundary:
         calls = []
         closed_form = geometry.curvature_closed_form
 
-        def counting(spec, z, cfg=None, normalization=NORM_PAPER):
+        def counting(spec, z):
             calls.append(spec.q)
-            return closed_form(spec, z, cfg, normalization)
+            return closed_form(spec, z)
 
         monkeypatch.setattr(geometry, "curvature_closed_form", counting)
         q_star = curvature_sign_boundary(spec, 0.05, 1.1, 1.5)
@@ -218,18 +204,41 @@ class TestHugeDeformation:
             curvature_closed_form(GasSpec("fermion", 0.5, dim), 1e160)
 
 
-class TestPlanarAgainstMpOracle:
-    """D = 2 points whose features near x = 0 the integral in x used to miss."""
+_FEATURE_POINTS = [
+    # a small-q fermion steps at x ~ q^2
+    ("fermion", 0.01, 0.5), ("fermion", 0.01, 10.0), ("fermion", 0.01, 1e4),
+    ("fermion", 0.001, 1.0), ("fermion", 0.001, 30.0),
+    # a large-q boson changes at x ~ q^-2
+    ("boson", 100.0, 0.3), ("boson", 100.0, 0.9),
+    ("boson", 1000.0, 0.5), ("boson", 1000.0, 0.9),
+]
 
-    @pytest.mark.parametrize("stat,q,z", [
-        # a small-q fermion steps at x ~ q^2
-        ("fermion", 0.01, 0.5), ("fermion", 0.01, 10.0), ("fermion", 0.01, 1e4),
-        ("fermion", 0.001, 1.0), ("fermion", 0.001, 30.0),
-        # a large-q boson changes at x ~ q^-2
-        ("boson", 100.0, 0.3), ("boson", 100.0, 0.9),
-        ("boson", 1000.0, 0.5), ("boson", 1000.0, 0.9),
-    ])
-    def test_matches_oracle(self, stat, q, z):
-        want = float(mp_oracle.curvature(stat, 2, q, z))
-        got = curvature_closed_form(GasSpec(stat, q, 2), z).R_reduced
+# D = 3 points where the quadrature stops after 105-189 integrand calls
+# with an estimate inside the tolerance and R off by the measured amount
+_D3_MISSES = {
+    ("fermion", 0.001, 1.0): "4.5e-10",
+    ("fermion", 0.001, 30.0): "9.0e-10",
+    ("boson", 1000.0, 0.5): "6.6e-10",
+    ("boson", 1000.0, 0.9): "1.1e-9",
+}
+
+
+def _feature_cases():
+    # D = 2 ids are stat-q-z, D = 3 ids add a -D3 suffix
+    for dim in (2, 3):
+        for stat, q, z in _FEATURE_POINTS:
+            miss = _D3_MISSES.get((stat, q, z)) if dim == 3 else None
+            marks = () if miss is None else pytest.mark.xfail(
+                strict=True, reason=f"R off by {miss} relative, no error raised")
+            yield pytest.param(stat, q, z, dim, marks=marks,
+                               id=f"{stat}-{q}-{z}" + ("-D3" if dim == 3 else ""))
+
+
+class TestPlanarAgainstMpOracle:
+    """Points whose features near x = 0 the integral in x used to miss, D = 2 and 3."""
+
+    @pytest.mark.parametrize("stat,q,z,dim", _feature_cases())
+    def test_matches_oracle(self, stat, q, z, dim):
+        want = float(mp_oracle.curvature(stat, dim, q, z))
+        got = curvature_closed_form(GasSpec(stat, q, dim), z).R_reduced
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)

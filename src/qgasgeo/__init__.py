@@ -24,17 +24,13 @@ from .core import (
 )
 from .distributions import (
     ConvergenceError,
-    LogMoments,
-    boson_theta_sums,
     cumulant_kernel,
     fermion_h_sums,
-    log_moments,
 )
 from .geometry import (
     CurvatureResult,
     DegenerateMetricError,
     MetricTensor,
-    StepSizeError,
     curvature_closed_form,
     curvature_from_moments,
     curvature_sign_boundary,
@@ -69,14 +65,11 @@ __all__ = [
     "DegenerateMetricError",
     "DomainError",
     "GasSpec",
-    "LogMoments",
     "MetricTensor",
     "MomentSet",
     "OutOfVirialRangeError",
-    "StepSizeError",
     "ToleranceError",
     "alpha",
-    "boson_theta_sums",
     "closed_form_threshold",
     "cumulant_kernel",
     "curvature_closed_form",
@@ -87,7 +80,6 @@ __all__ = [
     "eta",
     "fermion_h_sums",
     "fugacity_from_density",
-    "log_moments",
     "metric_tensor",
     "moment_integrals",
     "q_bracket",

@@ -7,6 +7,7 @@ in units of lambda^D / volume and depends only on (z, q, D).
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -38,6 +39,13 @@ class DomainError(ValueError):
     """Raised when a parameter point lies outside the physical domain."""
 
 
+def _require_positive(value, name):
+    """Raise DomainError unless value is a real number (not a bool), finite and > 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GasSpec:
     """Which gas: statistics ('boson' or 'fermion'), deformation q > 0, dimension 2 or 3."""
@@ -52,8 +60,7 @@ class GasSpec:
                 f"statistics must be {BOSON!r} or {FERMION!r}, got {self.statistics!r}")
         # q = 0 would make the fermion exponent q^-2 infinite and degenerate
         # the boson bracket, so it is excluded along with q < 0.
-        if not (isinstance(self.q, (int, float)) and math.isfinite(self.q) and self.q > 0):
-            raise DomainError(f"deformation parameter q must be finite and > 0, got {self.q!r}")
+        _require_positive(self.q, "deformation parameter q")
         if self.dimension not in (2, 3):
             raise DomainError(f"dimension must be 2 or 3, got {self.dimension!r}")
 
@@ -83,8 +90,7 @@ def q_bracket(x, q):
     >>> round(q_bracket(2, 2.0), 12)  # 1 + q^2; unrounded, one ulp below 5
     5.0
     """
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0):
-        raise DomainError(f"q must be finite and > 0, got {q!r}")
+    _require_positive(q, "q")
     xarr = np.asarray(x, dtype=float)
     if q == 1.0:
         out = xarr

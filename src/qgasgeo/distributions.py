@@ -11,12 +11,9 @@ L1 is a mean, L2 a variance, L3 a third cumulant.
 function that maps an array of abscissae x to the rows (L0, L1, L2, L3),
 built from the excess sums (F0 - 1, F1, F2, F3) of `BosonThetaSeries`, which
 never stores a series at its full length, or of the fermion closed form.
-Scalar entry points (`log_moments`, `boson_theta_sums`, `fermion_h_sums`)
-pass a one-element array through the same code.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +21,8 @@ from .core import BOSON, LOG_MAX, DomainError, q_bracket, validate_domain
 
 __all__ = [
     "ConvergenceError",
-    "LogMoments",
-    "boson_theta_sums",
     "cumulant_kernel",
     "fermion_h_sums",
-    "log_moments",
 ]
 
 # Truncating when terms fall below SERIES_TOL times the full sum keeps the
@@ -48,15 +42,6 @@ _BLOCK = 2 ** 20
 
 class ConvergenceError(RuntimeError):
     """Boson series failed to satisfy the truncation rule within MAX_TERMS."""
-
-
-class LogMoments(NamedTuple):
-    """ln F and its first three theta-derivatives at one (x, z) point."""
-
-    L0: float
-    L1: float
-    L2: float
-    L3: float
 
 
 def _q1_sums(w):
@@ -210,16 +195,6 @@ def _abscissae(x):
     return xs
 
 
-def boson_theta_sums(x, z, q):
-    """Boson sums (F0, F1, F2, F3) with F_k = sum_m (m+1) m^k e^(-x{m}) z^m.
-
-    F0 includes the m = 0 term, equal to 1.  Requires 0 < z < 1; raises
-    ConvergenceError if the truncation rule is not met within MAX_TERMS.
-    """
-    s0, f1, f2, f3 = BosonThetaSeries(z, q).excess_sums(float(x))
-    return 1.0 + s0, f1, f2, f3
-
-
 def _fermion_excess_sums(z, q):
     """x -> (h - 1, F1, F2, F3) as an (n, 4) array, with h = 1 + u + v,
     u = 2 z e^(-x), v = z^2 e^(-(q^-2 + 1) x); the z-power m contributes m^k
@@ -229,7 +204,7 @@ def _fermion_excess_sums(z, q):
     1e-150: e^(-(q^-2 + 1) x) is then already 1 at x = 0 and exactly 0.0 at
     every x >= 7.5e-298.
     """
-    rate = max(q, 1e-150) ** -2 + 1.0
+    rate = max(float(q), 1e-150) ** -2 + 1.0
 
     def excess_sums(x):
         xs = _abscissae(x)
@@ -283,8 +258,3 @@ def cumulant_kernel(spec, z):
         return _cumulants(excess_sums(np.atleast_1d(x)))
 
     return kernel
-
-
-def log_moments(spec, x, z):
-    """LogMoments of the integrand F (f for bosons, h for fermions) at (x, z)."""
-    return LogMoments(*cumulant_kernel(spec, z)(np.array([x], dtype=float))[0].tolist())

@@ -25,14 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GasSpec, bisect, validate_domain
+from .core import bisect, validate_domain
 from .quadrature import MomentSet, moment_integrals
 
 __all__ = [
     "CurvatureResult",
     "DegenerateMetricError",
     "MetricTensor",
-    "StepSizeError",
     "curvature_closed_form",
     "curvature_from_moments",
     "curvature_sign_boundary",
@@ -46,16 +45,9 @@ SQRT_PI = math.sqrt(math.pi)
 # model does not produce anywhere in its physical domain.
 _DEGENERATE_FLOOR = 1e-300
 
-# Target relative accuracy of the finite-difference diagnostic mode.
-_FD_TARGET_REL = 1e-6
-
 
 class DegenerateMetricError(RuntimeError):
     """det g (or the closed-form denominator) vanished to rounding level."""
-
-
-class StepSizeError(RuntimeError):
-    """Finite-difference step too large (or too small) for the target accuracy."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,6 @@ class MetricTensor:
     g11: float
     g12: float
     g22: float
-    beta: float
-    spec: GasSpec
 
     @property
     def det(self):
@@ -105,11 +95,12 @@ def metric_tensor(spec, beta, z):
     validate_domain(spec, z, beta)
     m = moment_integrals(spec, z)
     g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
-    return MetricTensor(g11=g11, g12=g12, g22=g22, beta=beta, spec=spec)
+    return MetricTensor(g11=g11, g12=g12, g22=g22)
 
 
-def curvature_from_moments(spec, moments):
-    """Closed-form reduced curvature from an existing MomentSet."""
+def curvature_from_moments(moments):
+    """Closed-form reduced curvature from an existing MomentSet (of moments.spec)."""
+    spec = moments.spec
     a, b, c, d = moments
     numerator = b * b * c + a * b * d - 2.0 * a * c * c
     if spec.dimension == 3:
@@ -132,37 +123,10 @@ def curvature_closed_form(spec, z):
     D = 2, N = b^2 c + a b d - 2 a c^2, twice the plain scalar curvature of g.
     Units are lambda^D / volume, so beta drops out.
     """
-    return curvature_from_moments(spec, moment_integrals(spec, z))
+    return curvature_from_moments(moment_integrals(spec, z))
 
 
-def _gamma_derivative_fd(spec, beta, z, h):
-    """Central gamma-derivatives of (g11, g12, g22) with a step-size check.
-
-    gamma = -ln z, so gamma +/- h corresponds to z e^(-+ h).  The forward/
-    backward spread estimates the step truncation error; steps too large
-    (curvature of g in gamma resolved poorly) or too small (quadrature noise
-    amplified by 1/h) both trip the check.
-    """
-    def g_at(zz):
-        m = moment_integrals(spec, zz)
-        return np.array(_components(spec, beta, (m.a, m.b, m.c)))
-
-    g0 = g_at(z)
-    gp = g_at(z * math.exp(-h))
-    gm = g_at(z * math.exp(h))
-    fwd = (gp - g0) / h
-    bwd = (g0 - gm) / h
-    central = 0.5 * (fwd + bwd)
-    spread = np.max(np.abs(fwd - bwd) / np.maximum(np.abs(central), _DEGENERATE_FLOOR))
-    # central error ~ (h^2/6) g''' ~ spread^2 / 6 in relative terms
-    if spread > math.sqrt(60.0 * _FD_TARGET_REL):
-        raise StepSizeError(
-            f"fd_step = {h:.3g} unsuitable: forward/backward gamma-derivatives "
-            f"disagree by {spread:.2e} relative, beyond 10x the {_FD_TARGET_REL} target")
-    return central
-
-
-def determinant_curvature_oracle(spec, beta, z, fd_step=None):
+def determinant_curvature_oracle(spec, beta, z):
     """Reduced scalar curvature via the 3x3 determinant, in the closed form's normalization.
 
     For a two-parameter Hessian metric the plain scalar curvature is
@@ -174,11 +138,8 @@ def determinant_curvature_oracle(spec, beta, z, fd_step=None):
     equivalent to the Levi-Civita computation (checked symbolically); the
     oracle returns twice it, the determinant over (det g)^2, as
     `curvature_closed_form` does.  The beta-derivatives use the exact
-    power-law structure.  The gamma-derivatives default to the analytic
-    ladder da/dgamma = -b, db/dgamma = -c, dc/dgamma = -d; passing fd_step
-    switches them to central finite differences in gamma, a slower path that
-    never touches the third moment and is therefore independent of the ladder
-    sign convention.
+    power-law structure and the gamma-derivatives the analytic ladder
+    da/dgamma = -b, db/dgamma = -c, dc/dgamma = -d.
 
     The reduced result (units lambda^D / volume) is independent of beta.
     Raises DomainError unless beta is finite and > 0 and z is in the domain.
@@ -191,10 +152,7 @@ def determinant_curvature_oracle(spec, beta, z, fd_step=None):
     db_g11 = -(p + 2.0) / beta * g11
     db_g12 = -(p + 1.0) / beta * g12
     db_g22 = -p / beta * g22
-    if fd_step is None:
-        dg_g11, dg_g12, dg_g22 = _components(spec, beta, (-m.b, -m.c, -m.d))
-    else:
-        dg_g11, dg_g12, dg_g22 = _gamma_derivative_fd(spec, beta, z, fd_step)
+    dg_g11, dg_g12, dg_g22 = _components(spec, beta, (-m.b, -m.c, -m.d))
     det_g = g11 * g22 - g12 * g12
     if det_g < _DEGENERATE_FLOOR:
         raise DegenerateMetricError(f"det g = {det_g!r} not positive for {spec} at z = {z}")

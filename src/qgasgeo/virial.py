@@ -21,7 +21,7 @@ fermions; the D=2 fermion has Lambda* = 1 and so no root, zeta > 0 for every q.
 
 import math
 
-from .core import BOSON, FERMION, DomainError, bisect
+from .core import BOSON, FERMION, DomainError, _require_positive, bisect
 
 __all__ = [
     "KINDS",
@@ -108,14 +108,14 @@ def closed_form_threshold(kind):
     return (lam - 1.0) ** (0.5 if statistics == BOSON else -0.5)
 
 
-def virial_threshold(kind, q_lo=0.5, q_hi=5.0):
-    """Bisection root of the named coefficient over [q_lo, q_hi], or None.
+def virial_threshold(kind):
+    """Bisection root of the named coefficient over q in [0.5, 5], or None.
 
     Bisection runs to |dq| < 1e-10 (the closed forms double as the oracle for
     this).  Returns None when the coefficient does not change sign on the
-    bracket, which is the case for zeta at any bracket.
+    bracket, which is the case for zeta.
     """
-    return bisect(_B[_gas(kind)], q_lo, q_hi, xtol=1e-10)
+    return bisect(_B[_gas(kind)], 0.5, 5.0, xtol=1e-10)
 
 
 def fugacity_from_density(spec, density):
@@ -125,8 +125,7 @@ def fugacity_from_density(spec, density):
     OutOfVirialRangeError when the second-order term reaches half the first
     (expansion no longer trustworthy).
     """
-    if not (isinstance(density, (int, float)) and math.isfinite(density) and density > 0):
-        raise DomainError(f"density must be finite and > 0, got {density!r}")
+    _require_positive(density, "density")
     n = float(density)
     first = 0.5 * n
     second = _B[spec.statistics, spec.dimension](spec.q) * n * n

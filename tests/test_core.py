@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from qgasgeo import DomainError, GasSpec, q_bracket, validate_domain
+from qgasgeo import (
+    DomainError,
+    GasSpec,
+    curvature_closed_form,
+    fugacity_from_density,
+    q_bracket,
+    validate_domain,
+)
 from qgasgeo.core import bisect
 
 
@@ -158,3 +165,24 @@ class TestValidateDomain:
             validate_domain(spec, -0.5)
         with pytest.raises(DomainError):
             validate_domain(spec, 0.5, beta=0.0)
+
+
+@pytest.mark.parametrize("value,accepted", [
+    (np.int64(2), True), (np.float32(1.5), True), (True, False), (math.nan, False),
+], ids=["int64", "float32", "bool", "nan"])
+def test_positive_real_parameters(value, accepted):
+    # q of q_bracket and GasSpec and the density of fugacity_from_density
+    # share one check: any real number but a bool, finite and > 0
+    entries = (lambda v: q_bracket(1.0, v),
+               lambda v: GasSpec("boson", v, 3),
+               lambda v: fugacity_from_density(GasSpec("boson", 1.0, 3), v))
+    for entry in entries:
+        if accepted:
+            entry(value)
+        else:
+            with pytest.raises(DomainError, match="must be finite and > 0"):
+                entry(value)
+    if accepted:
+        # and a numpy q gives the curvature of the same float q
+        r = curvature_closed_form(GasSpec("fermion", value, 3), 0.5).R_reduced
+        assert r == curvature_closed_form(GasSpec("fermion", float(value), 3), 0.5).R_reduced

@@ -10,10 +10,8 @@ from qgasgeo import (
     ConvergenceError,
     DomainError,
     GasSpec,
-    boson_theta_sums,
     cumulant_kernel,
     fermion_h_sums,
-    log_moments,
     q_bracket,
 )
 from qgasgeo.distributions import SERIES_TOL, BosonThetaSeries
@@ -22,49 +20,50 @@ from qgasgeo.quadrature import _GK21_NODES
 
 class TestBosonThetaSums:
     def test_x0_geometric_identity(self):
-        # sum (m+1) t^m = (1-t)^(-2)
-        F0, _, _, _ = boson_theta_sums(0.0, 0.5, 0.7)
-        assert F0 == pytest.approx(4.0, rel=1e-14)
+        # sum (m+1) t^m = (1-t)^(-2), so F0 - 1 = 3 at t = 1/2
+        s0, _, _, _ = BosonThetaSeries(0.5, 0.7).excess_sums(0.0)
+        assert s0 == pytest.approx(3.0, rel=1e-14)
 
     def test_q1_derivative_geometric_sum(self):
-        F0, _, _, _ = boson_theta_sums(1.0, 0.5, 1.0)
+        s0, _, _, _ = BosonThetaSeries(0.5, 1.0).excess_sums(1.0)
         want = (1.0 - 0.5 * math.exp(-1.0)) ** -2
-        assert F0 == pytest.approx(want, rel=1e-14)
+        assert 1.0 + s0 == pytest.approx(want, rel=1e-14)
 
     def test_q1_closed_form_absolute(self):
         # |F0 - (1 - z e^(-x))^(-2)| below 1e-12 across the working window
         for z in (0.1, 0.5, 0.9):
+            series = BosonThetaSeries(z, 1.0)
             for x in np.linspace(0.0, 50.0, 26):
-                F0, _, _, _ = boson_theta_sums(float(x), z, 1.0)
+                s0, _, _, _ = series.excess_sums(float(x))
                 want = (1.0 - z * math.exp(-x)) ** -2
-                assert abs(F0 - want) < 1e-12
+                assert abs(1.0 + s0 - want) < 1e-12
 
     def test_q2_brute_force_values(self):
         # 50-digit 300-term direct summation; {m} = (4^m - 1)/3 makes the
         # terms decay double-exponentially
-        got = boson_theta_sums(1.0, 0.5, 2.0)
+        s0, f1, f2, f3 = BosonThetaSeries(0.5, 2.0).excess_sums(1.0)
         want = (1.3729329017998844433, 0.37798636280745458643,
                 0.38809328558085091545, 0.40830713340241170186)
-        for g, w in zip(got, want):
+        for g, w in zip((1.0 + s0, f1, f2, f3), want):
             assert g == pytest.approx(w, rel=1e-14)
 
     def test_large_q_bracket_overflow_is_benign(self):
         # {m} overflows to inf for q = 50 at modest m; e^(-x inf) = 0 terms
-        F = boson_theta_sums(2.0, 0.9, 50.0)
+        F = BosonThetaSeries(0.9, 50.0).excess_sums(2.0)
         assert all(math.isfinite(v) for v in F)
-        assert F[0] >= 1.0
+        assert F[0] >= 0.0
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
-            boson_theta_sums(1.0, 1.5, 0.5)
+            BosonThetaSeries(1.5, 0.5)
         with pytest.raises(DomainError):
-            boson_theta_sums(-1.0, 0.5, 0.5)
+            BosonThetaSeries(0.5, 0.5).excess_sums(-1.0)
 
     def test_nonconvergence_raises(self):
         # the k = 3 terms peak near m = 4 / (1 - z) = 4e5 and are still above
         # SERIES_TOL of their sum at MAX_TERMS
         with pytest.raises(ConvergenceError):
-            boson_theta_sums(0.0, 1.0 - 1e-5, 1.0)
+            BosonThetaSeries(1.0 - 1e-5, 1.0)
 
 
 class TestFermionHSums:
@@ -100,22 +99,22 @@ class TestLogMoments:
     def test_fermion_x0_mean_occupation(self):
         # F0 = (1+z)^2, F1 = 2z + 2z^2 so L1 = 2z/(1+z)
         for z in (0.2, 1.0, 5.0):
-            L = log_moments(GasSpec("fermion", 1.3, 2), 0.0, z)
-            assert L.L1 == pytest.approx(2 * z / (1 + z), rel=1e-14)
+            L = cumulant_kernel(GasSpec("fermion", 1.3, 2), z)(np.array([0.0]))[0]
+            assert L[1] == pytest.approx(2 * z / (1 + z), rel=1e-14)
 
     def test_boson_q1_log_closed_form(self):
-        spec = GasSpec("boson", 1.0, 3)
-        for x in (0.0, 0.7, 3.0):
-            L = log_moments(spec, x, 0.5)
-            assert L.L0 == pytest.approx(-2.0 * math.log1p(-0.5 * math.exp(-x)), rel=1e-13)
+        x = np.array([0.0, 0.7, 3.0])
+        L0 = cumulant_kernel(GasSpec("boson", 1.0, 3), 0.5)(x)[:, 0]
+        want = -2.0 * np.log1p(-0.5 * np.exp(-x))
+        np.testing.assert_allclose(L0, want, rtol=1e-13, atol=0.0)
 
     def test_boson_brute_force_cumulants(self):
         # 50-digit 400-term direct summation at (x, z, q) = (1, 0.5, 0.5)
-        L = log_moments(GasSpec("boson", 0.5, 2), 1.0, 0.5)
-        assert L.L0 == pytest.approx(0.64999672766858614045, rel=1e-13)
-        assert L.L1 == pytest.approx(1.178707415237278267, rel=1e-13)
-        assert L.L2 == pytest.approx(3.1221809579371459233, rel=1e-13)
-        assert L.L3 == pytest.approx(11.726584905927780901, rel=1e-13)
+        L = cumulant_kernel(GasSpec("boson", 0.5, 2), 0.5)(np.array([1.0]))[0]
+        assert L[0] == pytest.approx(0.64999672766858614045, rel=1e-13)
+        assert L[1] == pytest.approx(1.178707415237278267, rel=1e-13)
+        assert L[2] == pytest.approx(3.1221809579371459233, rel=1e-13)
+        assert L[3] == pytest.approx(11.726584905927780901, rel=1e-13)
 
     @pytest.mark.parametrize("spec,z", [
         (GasSpec("boson", 0.5, 2), 0.3),
@@ -126,13 +125,12 @@ class TestLogMoments:
     def test_theta_derivative_consistency(self, spec, z):
         # L_{k+1} must be the theta-derivative z d/dz of L_k
         h = 1e-5 * z
-        for x in (0.0, 0.9, 2.5):
-            up = log_moments(spec, x, z + h)
-            dn = log_moments(spec, x, z - h)
-            mid = log_moments(spec, x, z)
-            for k in range(3):
-                fd = z * (up[k] - dn[k]) / (2.0 * h)
-                assert mid[k + 1] == pytest.approx(fd, rel=1e-6)
+        x = np.array([0.0, 0.9, 2.5])
+        up = cumulant_kernel(spec, z + h)(x)
+        dn = cumulant_kernel(spec, z - h)(x)
+        mid = cumulant_kernel(spec, z)(x)
+        fd = z * (up[:, :3] - dn[:, :3]) / (2.0 * h)
+        np.testing.assert_allclose(mid[:, 1:], fd, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("spec,z", [
         (GasSpec("boson", 0.5, 2), 0.9),
@@ -141,11 +139,10 @@ class TestLogMoments:
         (GasSpec("fermion", 1.0, 2), 0.1),
     ])
     def test_positivity(self, spec, z):
-        for x in (0.0, 0.5, 2.0, 10.0):
-            L = log_moments(spec, x, z)
-            assert L.L0 >= 0.0
-            assert L.L1 > 0.0
-            assert L.L2 >= 0.0
+        L = cumulant_kernel(spec, z)(np.array([0.0, 0.5, 2.0, 10.0]))
+        assert np.all(L[:, 0] >= 0.0)
+        assert np.all(L[:, 1] > 0.0)
+        assert np.all(L[:, 2] >= 0.0)
 
 
 def _raw_excess_sums(z, q, x, M):
@@ -282,12 +279,13 @@ class TestArrayKernel:
         (GasSpec("fermion", 1.3, 3), 4.0),
     ])
     def test_kernel_rows_equal_log_moments(self, spec, z):
+        # each row of a batch equals the one-row evaluation at its abscissa
+        kernel = cumulant_kernel(spec, z)
         x = np.array([0.0, 1e-9, 0.3, 2.0, 40.0])
-        rows = cumulant_kernel(spec, z)(x)
+        rows = kernel(x)
         for xi, row in zip(x, rows):
-            want = log_moments(spec, float(xi), z)
-            for g, w in zip(row, want):
-                assert g == pytest.approx(w, rel=1e-14, abs=0.0)
+            want = kernel(np.array([xi]))[0]
+            np.testing.assert_allclose(row, want, rtol=1e-14, atol=0.0)
 
     def test_rejects_negative_or_nan_abscissa(self):
         kernel = cumulant_kernel(GasSpec("boson", 1.15, 2), 0.5)

@@ -11,7 +11,6 @@ from qgasgeo import (
     DomainError,
     GasSpec,
     MomentSet,
-    StepSizeError,
     curvature_closed_form,
     curvature_from_moments,
     curvature_sign_boundary,
@@ -101,23 +100,20 @@ class TestCurvatureClosedForm:
 
 
 class TestFiniteDifferenceMode:
+    """Central differences of the moments in ln z against the gamma ladder."""
+
     @pytest.mark.parametrize("spec", GRID)
     @pytest.mark.parametrize("z", [0.2, 0.7])
     def test_fd_matches_analytic_ladder(self, spec, z):
-        # the fd path never reads the third moment, so agreement here ties the
-        # ladder sign convention da/dgamma = -b, ... to an independent route;
-        # the step check admits truncation up to 10x the 1e-6 derivative target
-        ladder = determinant_curvature_oracle(spec, 1.0, z)
-        fd = determinant_curvature_oracle(spec, 1.0, z, fd_step=1e-4)
-        assert fd == pytest.approx(ladder, rel=1e-5)
-
-    def test_step_too_large_raises(self):
-        with pytest.raises(StepSizeError):
-            determinant_curvature_oracle(GasSpec("boson", 1.0, 3), 1.0, 0.5, fd_step=0.5)
-
-    def test_step_too_small_raises(self):
-        with pytest.raises(StepSizeError):
-            determinant_curvature_oracle(GasSpec("boson", 1.0, 3), 1.0, 0.5, fd_step=1e-15)
+        # theta = z d/dz = d/d(ln z), so theta a = b, theta b = c, theta c = d:
+        # the ladder the determinant oracle takes its gamma-derivatives from
+        h = 1e-4
+        up = tuple(moment_integrals(spec, z * math.exp(h)))
+        dn = tuple(moment_integrals(spec, z * math.exp(-h)))
+        m = tuple(moment_integrals(spec, z))
+        for k in range(3):
+            fd = (up[k] - dn[k]) / (2.0 * h)
+            assert fd == pytest.approx(m[k + 1], rel=1e-6)
 
 
 class TestDegenerateGuard:
@@ -126,14 +122,14 @@ class TestDegenerateGuard:
         spec = GasSpec("boson", 1.0, 3)
         m = MomentSet(a=3.0, b=5.0, c=5.0, d=1.0, est_error=0.0, spec=spec, z=0.5)
         with pytest.raises(DegenerateMetricError):
-            curvature_from_moments(spec, m)
+            curvature_from_moments(m)
 
     def test_zero_denominator_d2(self):
         # 2ac = b^2 exactly with a=2, b=2, c=1
         spec = GasSpec("fermion", 1.0, 2)
         m = MomentSet(a=2.0, b=2.0, c=1.0, d=1.0, est_error=0.0, spec=spec, z=0.5)
         with pytest.raises(DegenerateMetricError):
-            curvature_from_moments(spec, m)
+            curvature_from_moments(m)
 
 
 class TestSignBoundary:

@@ -18,19 +18,6 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 class TestPolylogOracle:
-    @pytest.mark.parametrize("stat,zs", [
-        ("boson", (0.1, 0.5, 0.9)),
-        ("fermion", (0.5, 2.0, 10.0)),
-    ])
-    @pytest.mark.parametrize("dim", [3, 2])
-    def test_q1_agreement(self, stat, zs, dim):
-        spec = GasSpec(stat, 1.0, dim)
-        for z in zs:
-            got = tuple(moment_integrals(spec, z))
-            want = polylog_reference_q1(spec, z)
-            for g, w in zip(got, want):
-                assert g == pytest.approx(w, rel=1e-8)
-
     def test_frozen_boson_d3_values(self):
         # sqrt(pi) Li_s(1/2) for s = 5/2, 3/2, 1/2, -1/2 at 50 digits
         m = moment_integrals(GasSpec("boson", 1.0, 3), 0.5)

@@ -102,16 +102,12 @@ class TestThresholds:
     def test_zeta_has_no_threshold(self):
         assert closed_form_threshold("zeta") is None
         assert virial_threshold("zeta") is None
-        assert virial_threshold("zeta", 0.01, 1000.0) is None
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             closed_form_threshold("gamma")
         with pytest.raises(ValueError):
             virial_threshold("gamma")
-
-    def test_same_sign_bracket_returns_none(self):
-        assert virial_threshold("alpha", 0.5, 1.5) is None
 
     @pytest.mark.parametrize("kind,stat,dim", [
         ("alpha", "fermion", 3),

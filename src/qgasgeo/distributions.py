@@ -13,6 +13,7 @@ built from the excess sums (F0 - 1, F1, F2, F3) of `BosonThetaSeries`, which
 never stores a series at its full length, or of the fermion closed form.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ import numpy as np
 from .core import BOSON, LOG_MAX, DomainError, q_bracket, validate_domain
 
 __all__ = [
+    "CLUSTER_ORDER",
     "ConvergenceError",
+    "cluster_coefficients",
     "cumulant_kernel",
     "fermion_h_sums",
 ]
@@ -30,6 +33,9 @@ __all__ = [
 # tolerances (1e-12 absolute) require.
 SERIES_TOL = 1e-16
 MAX_TERMS = 10 ** 6
+
+# orders of z the cluster expansion sums; one more order estimates the rest
+CLUSTER_ORDER = 10
 
 # e^(-t) rounds to exactly 0.0 in double precision for t >= 746.
 _EXP_ZERO = 746.0
@@ -204,7 +210,7 @@ def _fermion_excess_sums(z, q):
     1e-150: e^(-(q^-2 + 1) x) is then already 1 at x = 0 and exactly 0.0 at
     every x >= 7.5e-298.
     """
-    rate = max(float(q), 1e-150) ** -2 + 1.0
+    rate = _inverse_square(q) + 1.0
 
     def excess_sums(x):
         xs = _abscissae(x)
@@ -223,6 +229,74 @@ def fermion_h_sums(x, z, q):
     """
     s0, f1, f2, f3 = _fermion_excess_sums(z, q)(float(x))[0].tolist()
     return 1.0 + s0, f1, f2, f3
+
+
+def _inverse_square(q):
+    """q^-2, with q below 1e-150 taken as 1e-150 (see `_fermion_excess_sums`)."""
+    return max(float(q), 1e-150) ** -2
+
+
+def _partitions(n, largest):
+    """Partitions of n into parts <= largest, each a non-increasing tuple."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+@functools.cache
+def _cluster_table(statistics):
+    """Partitions of n = 1..CLUSTER_ORDER + 1 in order of n, with their weights.
+
+    Returns (parts, weights, starts, sizes, twos): row i of parts lists the
+    parts of partition P_i, padded with 0; weights[i] is
+    c_P = (-1)^(k-1) (k-1)! / prod m_j! * prod f_p over its k parts (m_j of
+    part j), f_p = p + 1 for bosons and f_1 = 2, f_2 = 1 for fermions, whose
+    F has the parts 1 and 2 only; starts[n - 1] is the first row of order n;
+    sizes[i] is k and twos[i] the share of its parts that are 2s.
+    """
+    boson = statistics == BOSON
+    weight = (lambda part: part + 1.0) if boson else {1: 2.0, 2: 1.0}.get
+    rows, weights, starts = [], [], []
+    for n in range(1, CLUSTER_ORDER + 2):
+        starts.append(len(rows))
+        for parts in _partitions(n, n if boson else 2):
+            k = len(parts)
+            c = (-1.0) ** (k - 1) * math.factorial(k - 1) / math.prod(
+                math.factorial(parts.count(j)) for j in set(parts))
+            rows.append(parts + (0,) * (CLUSTER_ORDER + 1 - k))
+            weights.append(c * math.prod(weight(part) for part in parts))
+    parts = np.array(rows)
+    sizes = np.count_nonzero(parts, axis=1).astype(float)
+    return parts, np.array(weights), np.array(starts), sizes, (parts == 2).sum(axis=1) / sizes
+
+
+def cluster_coefficients(spec):
+    """A_n = int_0^inf x^nu [z^n] ln F dx for n = 1..CLUSTER_ORDER + 1.
+
+    ln F = sum_n z^n sum_(P |- n) c_P e^(-x Lambda_P), where Lambda_P sums
+    the rate of each part of P: the q-bracket {p} for bosons, 1 and q^-2 + 1
+    for the fermion parts 1 and 2.  Each exponential integrates in closed
+    form, so A_n = Gamma(D/2) sum_P c_P Lambda_P^(-D/2), and the moments are
+    a, b, c, d = sum_n n^k A_n z^n.
+    """
+    parts, weights, starts, sizes, twos = _cluster_table(spec.statistics)
+    p = spec.p
+    if spec.statistics == BOSON:
+        # {0} = 0 pads the rows; {m} = inf past q^(2m) overflow gives inf ** -p = 0
+        rates = np.asarray(q_bracket(np.arange(CLUSTER_ORDER + 2), spec.q))
+        sums = np.add.reduceat(weights * rates[parts].sum(axis=1) ** -p, starts)
+    else:
+        # Lambda_P = k (1 + s q^-2) for k parts, a share s of them 2s.  Summing
+        # c_P Lambda_P^-p as c_P k^-p (1 + expm1(-p log1p(s q^-2))) keeps
+        # A_2 = -1 + 1 / (1 + q^-2) of D = 2 exact to rounding as q -> inf,
+        # where the k^-p terms cancel exactly
+        base = weights * sizes ** -p
+        change = np.expm1(-p * np.log1p(twos * _inverse_square(spec.q)))
+        sums = np.add.reduceat(base, starts) + np.add.reduceat(base * change, starts)
+    return math.gamma(p) * sums
 
 
 def _cumulants(sums):

@@ -99,10 +99,21 @@ def metric_tensor(spec, beta, z):
 
 
 def curvature_from_moments(moments):
-    """Closed-form reduced curvature from an existing MomentSet (of moments.spec)."""
+    """Closed-form reduced curvature from an existing MomentSet (of moments.spec).
+
+    N = b^2 c + a b d - 2 a c^2 is formed from a and the excesses
+    eb = b - a, ec = c - a, ed = d - a, as
+    a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2) + eb^2 ec:
+    the a^3 terms of N cancel there symbolically, where in floating point
+    they would leave the rounding of a^3 against an N of order z^4.  Keep
+    the terms unfactored: factored forms lost 0.13 digits near the boson
+    edge (z = 0.9, D = 3, q = 0.8).
+    """
     spec = moments.spec
-    a, b, c, d = moments
-    numerator = b * b * c + a * b * d - 2.0 * a * c * c
+    a, b, c, _ = moments
+    eb, ec, ed = moments.excess
+    numerator = (a * a * (3.0 * eb - 3.0 * ec + ed)
+                 + a * (eb * eb + 2.0 * eb * ec + eb * ed - 2.0 * ec * ec) + eb * eb * ec)
     if spec.dimension == 3:
         denom = 5.0 * a * c - 3.0 * b * b
         scale = 5.0 * SQRT_PI
@@ -168,9 +179,11 @@ def determinant_curvature_oracle(spec, beta, z):
 def curvature_sign_boundary(spec, z, q_lo, q_hi):
     """Deformation q* in (q_lo, q_hi) where R changes sign, or None.
 
-    Evaluates the closed-form curvature at the bracket ends; if the signs
-    agree there is no crossing to find and None is returned, otherwise plain
-    bisection tightens the bracket to |dq| < 1e-4.
+    spec gives the statistics and dimension; its q is not read, since the
+    search varies q over the bracket.  Evaluates the closed-form curvature
+    at the bracket ends; if the signs agree there is no crossing to find and
+    None is returned, otherwise plain bisection tightens the bracket to
+    |dq| < 1e-4.
     """
     return bisect(lambda q: curvature_closed_form(replace(spec, q=q), z).R_reduced,
                   q_lo, q_hi, xtol=1e-4)

@@ -12,6 +12,12 @@ large-q boson at x ~ q^-2).  The infinite tail is cut at x_max where the
 k = 0 integrand has fallen below ABS_TOL (verified for k = 1..3 and enlarged
 if needed); beyond it every L_k decays like e^(-x).
 
+Where the first order of the moments, 2 Gamma(D/2) z, is below
+ABS_TOL / REL_TOL, the absolute tolerance would bind, so `moment_integrals`
+sums the cluster expansion of `distributions.cluster_coefficients` instead;
+it falls back to the quadrature if the first omitted order is not below
+2^-56 of a.
+
 `quad_vec` is a global-adaptive Gauss-Kronrod 21 integrator in the max norm
 (the QUADPACK error estimate, with the intervals of largest error bisected
 first).  Each refinement step bisects up to 128 intervals and evaluates all
@@ -26,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GasSpec
-from .distributions import cumulant_kernel
+from .core import GasSpec, validate_domain
+from .distributions import CLUSTER_ORDER, cluster_coefficients, cumulant_kernel
 
 __all__ = [
     "MomentSet",
@@ -77,6 +83,12 @@ REL_TOL = 1e-10
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 200
 _X_MAX_PAD = 5.0  # added to the analytic tail cutoff ln(max(2z, 2) / ABS_TOL)
+# orders n = 1..CLUSTER_ORDER + 1 of the cluster expansion; the last one is
+# only the error estimate.  Rows of the weights: 1, n - 1, n^2 - 1, n^3 - 1,
+# so that the excesses b - a, c - a, d - a never contain the n = 1 term.
+_ORDERS = np.arange(1.0, CLUSTER_ORDER + 2.0)
+_EXCESS_WEIGHTS = np.vstack([_ORDERS[:-1] ** k for k in range(4)]) - [[0.0], [1.0], [1.0], [1.0]]
+_SERIES_REL = 2.0 ** -56
 
 
 class ToleranceError(RuntimeError):
@@ -91,8 +103,12 @@ class ToleranceError(RuntimeError):
 class MomentSet:
     """The four theta-moment integrals at one (spec, z) with the error estimate.
 
-    neval counts integrand evaluations (abscissae) and intervals the final
-    subintervals of the quadrature; both are 0 when not recorded.
+    route names how they were obtained: "quadrature" or "series" (the
+    cluster expansion at small z).  neval counts integrand evaluations
+    (abscissae) and intervals the final subintervals of the quadrature; both
+    are 0 on the series route and when not recorded.  excess holds
+    (b - a, c - a, d - a), summed without forming b, c, d on the series
+    route and the float differences otherwise.
     """
 
     a: float
@@ -104,6 +120,12 @@ class MomentSet:
     z: float
     neval: int = 0
     intervals: int = 0
+    route: str = "quadrature"
+    excess: tuple = None
+
+    def __post_init__(self):
+        if self.excess is None:
+            object.__setattr__(self, "excess", (self.b - self.a, self.c - self.a, self.d - self.a))
 
     def __iter__(self):
         # unpack as a, b, c, d
@@ -222,13 +244,21 @@ def _tail_cutoff(lfun, nu, z):
     return x_max
 
 
-def moment_integrals(spec, z):
-    """MomentSet (a, b, c, d) = int_0^x_max x^nu L_k dx by adaptive quadrature in u = sqrt(x).
+def _series_moments(spec, z):
+    """MomentSet from the cluster expansion, or None when its first omitted
+    order is not below 2^-56 of a."""
+    A = cluster_coefficients(spec) * z ** _ORDERS
+    est_error = float(abs(A[-1]) * _ORDERS[-1] ** 3)
+    a, *excess = (_EXCESS_WEIGHTS @ A[:-1]).tolist()
+    if not est_error < _SERIES_REL * a:
+        return None
+    b, c, d = (a + e for e in excess)
+    return MomentSet(a=a, b=b, c=c, d=d, est_error=est_error, spec=spec, z=z,
+                     route="series", excess=tuple(excess))
 
-    Raises DomainError outside the physical domain and ToleranceError
-    (carrying the achieved error estimate) if the subdivision budget is
-    exhausted before the tolerances are met.
-    """
+
+def _quadrature_moments(spec, z):
+    """MomentSet by adaptive quadrature in u = sqrt(x)."""
     lfun = cumulant_kernel(spec, z)
     x_max = _tail_cutoff(lfun, spec.nu, z)
 
@@ -245,3 +275,24 @@ def moment_integrals(spec, z):
     return MomentSet(a=a, b=b, c=c, d=d, est_error=float(err), spec=spec, z=z,
                      neval=info.neval, intervals=len(info.intervals))
 
+
+def moment_integrals(spec, z):
+    """MomentSet (a, b, c, d) = int_0^inf x^nu L_k dx, k = 0..3.
+
+    Where the first order of every moment, 2 Gamma(D/2) z, is below
+    ABS_TOL / REL_TOL, the absolute tolerance would bind the quadrature, so
+    the moments are summed from the cluster expansion instead (route
+    "series"; `distributions.cluster_coefficients`), unless its first
+    omitted order is not below 2^-56 of a.  Otherwise they are integrated
+    up to x_max by adaptive quadrature in u = sqrt(x) (route "quadrature").
+
+    Raises DomainError outside the physical domain and ToleranceError
+    (carrying the achieved error estimate) if the subdivision budget is
+    exhausted before the tolerances are met.
+    """
+    validate_domain(spec, z)
+    if 2.0 * math.gamma(spec.p) * z < ABS_TOL / REL_TOL:
+        moments = _series_moments(spec, z)
+        if moments is not None:
+            return moments
+    return _quadrature_moments(spec, z)

@@ -19,9 +19,7 @@ deformation q* = sqrt(Lambda* - 1) for bosons and (Lambda* - 1)^(-1/2) for
 fermions; the D=2 fermion has Lambda* = 1 and so no root, zeta > 0 for every q.
 """
 
-import math
-
-from .core import BOSON, FERMION, DomainError, _require_positive, bisect
+from .core import BOSON, FERMION, _require_positive, bisect
 
 __all__ = [
     "KINDS",
@@ -48,14 +46,13 @@ class OutOfVirialRangeError(ValueError):
 
 
 def _second_virial(statistics, dimension):
-    """B(q) = (1/4) (2^(1 - D/2) - c Lambda^(-D/2)) of one gas, as a function of q."""
+    """B(q) = (1/4) (2^(1 - D/2) - c Lambda^(-D/2)) of one gas, as a function of
+    q; q is not checked (see `_coefficient`)."""
     c, p = _EXCHANGE[statistics], dimension / 2.0
     ideal = 2.0 ** (1.0 - p)
     inverse = statistics == FERMION
 
     def coefficient(q):
-        if not 0.0 < q < math.inf:
-            raise DomainError(f"deformation parameter q must be finite and > 0, got {q!r}")
         t = 1.0 / float(q) if inverse else float(q)
         # t * t overflows to inf for t > 1.3e154, and inf ** -p is 0.0; as a
         # Python float, not a numpy scalar, t overflows without a warning
@@ -75,24 +72,30 @@ def _gas(kind):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}") from None
 
 
+def _coefficient(gas, q):
+    """B(q) of gas; raises DomainError unless q is a finite real > 0 (not a bool)."""
+    _require_positive(q, "deformation parameter q")
+    return _B[gas](q)
+
+
 def alpha(q):
     """Fermion D=3 coefficient: > 0 below q* = 1.961..., alpha(1) = 1/(8 sqrt(2))."""
-    return _B[FERMION, 3](q)
+    return _coefficient((FERMION, 3), q)
 
 
 def delta(q):
     """Boson D=3 coefficient: < 0 below q* = 1.273..., delta(1) = -1/(8 sqrt(2))."""
-    return _B[BOSON, 3](q)
+    return _coefficient((BOSON, 3), q)
 
 
 def eta(q):
     """Boson D=2 coefficient -(2 - q^2)/(4 (1 + q^2)): < 0 below sqrt(2), eta(1) = -1/8."""
-    return _B[BOSON, 2](q)
+    return _coefficient((BOSON, 2), q)
 
 
 def zeta_fermion_d2(q):
     """Fermion D=2 coefficient 1/(4 (1 + q^2)): > 0 for every q, zeta(1) = 1/8."""
-    return _B[FERMION, 2](q)
+    return _coefficient((FERMION, 2), q)
 
 
 def closed_form_threshold(kind):

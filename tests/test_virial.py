@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qgasgeo import (
@@ -62,10 +63,16 @@ class TestCoefficientValues:
 
 class TestDeformationDomain:
     @pytest.mark.parametrize("f", [g[0] for g in GASES], ids=GAS_IDS)
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True])
     def test_rejects_bad_q(self, f, bad):
         with pytest.raises(DomainError):
             f(bad)
+
+    @pytest.mark.parametrize("f", [g[0] for g in GASES], ids=GAS_IDS)
+    def test_accepts_numpy_scalars(self, f):
+        # the check GasSpec and q_bracket share: any real but a bool
+        assert f(np.float64(2.0)) == f(np.int64(2)) == f(2.0)
+        assert f(np.float32(1.5)) == f(1.5)
 
     @pytest.mark.parametrize("f", [g[0] for g in GASES], ids=GAS_IDS)
     def test_finite_at_extreme_q(self, f):
@@ -78,9 +85,10 @@ class TestSmallFugacityLimit:
     @pytest.mark.parametrize("q", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("f,stat,dim", GASES, ids=GAS_IDS)
     def test_curvature_tends_to_coefficient(self, f, stat, dim, q):
-        # R -> -(1 + D/2) B as z -> 0, so R and B have opposite signs
-        R = curvature_closed_form(GasSpec(stat, q, dim), 1e-5).R_reduced
-        assert R == pytest.approx(-(1.0 + dim / 2.0) * f(q), rel=1e-3)
+        # R -> -(1 + D/2) B as z -> 0, so R and B have opposite signs; the
+        # O(z) correction is about 1e-8 at z = 1e-8
+        R = curvature_closed_form(GasSpec(stat, q, dim), 1e-8).R_reduced
+        assert R == pytest.approx(-(1.0 + dim / 2.0) * f(q), rel=1e-6)
 
 
 class TestThresholds:

@@ -101,19 +101,24 @@ def metric_tensor(spec, beta, z):
 def curvature_from_moments(moments):
     """Closed-form reduced curvature from an existing MomentSet (of moments.spec).
 
-    N = b^2 c + a b d - 2 a c^2 is formed from a and the excesses
-    eb = b - a, ec = c - a, ed = d - a, as
-    a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2) + eb^2 ec:
-    the a^3 terms of N cancel there symbolically, where in floating point
-    they would leave the rounding of a^3 against an N of order z^4.  Keep
-    the terms unfactored: factored forms lost 0.13 digits near the boson
-    edge (z = 0.9, D = 3, q = 0.8).
+    N = b^2 c + a b d - 2 a c^2.  Where the moments carry their excesses
+    eb = b - a, ec = c - a, ed = d - a (the series route, z < 5.6e-3), N is
+    formed as a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2)
+    + eb^2 ec: the a^3 terms of N cancel there symbolically, where in
+    floating point they would leave the rounding of a^3 against an N of
+    order z^4.  Quadrature moments use N as written.  At large z the
+    excesses are each about -a, so the excess form would add three terms of
+    order a^3 that cancel to an N of order a^3 / ln(z)^6 (a fermion at
+    z = 1e80 lost 3e-4 that way).
     """
     spec = moments.spec
-    a, b, c, _ = moments
-    eb, ec, ed = moments.excess
-    numerator = (a * a * (3.0 * eb - 3.0 * ec + ed)
-                 + a * (eb * eb + 2.0 * eb * ec + eb * ed - 2.0 * ec * ec) + eb * eb * ec)
+    a, b, c, d = moments
+    if moments.excess is None:
+        numerator = b * b * c + a * b * d - 2.0 * a * c * c
+    else:
+        eb, ec, ed = moments.excess
+        numerator = (a * a * (3.0 * eb - 3.0 * ec + ed)
+                     + a * (eb * eb + 2.0 * eb * ec + eb * ed - 2.0 * ec * ec) + eb * eb * ec)
     if spec.dimension == 3:
         denom = 5.0 * a * c - 3.0 * b * b
         scale = 5.0 * SQRT_PI

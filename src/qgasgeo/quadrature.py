@@ -107,8 +107,9 @@ class MomentSet:
     cluster expansion at small z).  neval counts integrand evaluations
     (abscissae) and intervals the final subintervals of the quadrature; both
     are 0 on the series route and when not recorded.  excess holds
-    (b - a, c - a, d - a), summed without forming b, c, d on the series
-    route and the float differences otherwise.
+    (b - a, c - a, d - a) on the series route, summed without forming b, c,
+    d, and is None on the quadrature route, whose moments give no more
+    accurate excesses than their float differences.
     """
 
     a: float
@@ -122,10 +123,6 @@ class MomentSet:
     intervals: int = 0
     route: str = "quadrature"
     excess: tuple = None
-
-    def __post_init__(self):
-        if self.excess is None:
-            object.__setattr__(self, "excess", (self.b - self.a, self.c - self.a, self.d - self.a))
 
     def __iter__(self):
         # unpack as a, b, c, d
@@ -246,7 +243,9 @@ def _tail_cutoff(lfun, nu, z):
 
 def _series_moments(spec, z):
     """MomentSet from the cluster expansion, or None when its first omitted
-    order is not below 2^-56 of a."""
+    order is not below 2^-56 of a.  Raises DomainError outside the physical
+    domain (the quadrature route checks it in `cumulant_kernel`)."""
+    validate_domain(spec, z)
     A = cluster_coefficients(spec) * z ** _ORDERS
     est_error = float(abs(A[-1]) * _ORDERS[-1] ** 3)
     a, *excess = (_EXCESS_WEIGHTS @ A[:-1]).tolist()
@@ -290,7 +289,6 @@ def moment_integrals(spec, z):
     (carrying the achieved error estimate) if the subdivision budget is
     exhausted before the tolerances are met.
     """
-    validate_domain(spec, z)
     if 2.0 * math.gamma(spec.p) * z < ABS_TOL / REL_TOL:
         moments = _series_moments(spec, z)
         if moments is not None:

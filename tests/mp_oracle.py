@@ -35,6 +35,10 @@ exponentials, logarithms, cumulants, N and the denominators are evaluated
 with mpmath at DIGITS + 8 significant digits.  For q < 1 the exponential
 does not cut the series, so near z -> 1 a point costs seconds or more.
 
+Large fermion fugacity.  Past z ~ 1e10 the trapezoid rule needs a step
+below 1/64, where `moments` gives up; `fermion_moments_split` integrates the
+fermion closed form with mpmath.quad on intervals cut at the steps of ln F.
+
 Regenerate the committed criterion 06 table with
 ``PYTHONPATH=tests python -m mp_oracle criterion06``.
 """
@@ -171,6 +175,33 @@ def moments(statistics, dimension, q, z):
                     f"trapezoid rule not converged for {statistics} D={dimension} "
                     f"q={q} z={z} at h = {h}")
             prev = cur
+
+
+def fermion_moments_split(dimension, q, z):
+    """Fermion (a, b, c, d) as mpf by mpmath.quad in x, for any z > 0.
+
+    At large z the trapezoid rule of `moments` does not converge by
+    h = 1/64: ln F steps over a width of order 1 in x at x ~ ln z, which is
+    a width of order 1/ln z in s = -ln x.  Here the tanh-sinh rule runs on
+    intervals cut at each x where two terms of F = 1 + u + v meet
+    (u = 2 z e^(-x), v = z^2 e^(-(q^-2 + 1) x)), and at 1, 4, 12 and 40
+    on either side of it.
+    """
+    if dimension not in (2, 3) or not z > 0:
+        raise ValueError(f"fermion D = {dimension!r}, z = {z!r} outside the domain")
+    with mp.workdps(DIGITS + 8):
+        z, q2, nu = mpf(z), mpf(q) ** 2, mpf(dimension - 2) / 2
+        rate = 1 / q2 + 1
+        # u = 1, v = 1 and u = v
+        meets = [mpmath.log(2 * z), 2 * mpmath.log(z) / rate, mpmath.log(z / 2) * q2]
+        cuts = {mpf(0)} | {x + off for x in meets for off in (-40, -12, -4, -1, 0, 1, 4, 12, 40)
+                           if x + off > 0}
+        cuts = sorted(cuts) + [mpmath.inf]
+
+        def integrand(k):
+            return lambda x: x ** nu * _cumulants(*_fermion_sums(x, z, q2))[k]
+
+        return [mpmath.quad(integrand(k), cuts) for k in range(4)]
 
 
 def curvature(statistics, dimension, q, z):

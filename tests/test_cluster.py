@@ -70,6 +70,22 @@ class TestAgainstMpOracle:
         assert r.R_reduced == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+# Just above the boundary the quadrature misses the feature at x ~ q^-2
+# (boson) or q^2 (fermion) at extreme q, with its error estimate inside the
+# tolerance, where the series would be 2e-15 off.  Widening the series route
+# past these z would mend them.
+_ABOVE_BOUNDARY_MISSES = [
+    pytest.param(stat, dim, q, z, marks=pytest.mark.xfail(
+        strict=True, reason=f"R off by {miss} relative, no error raised"))
+    for stat, dim, q, z, miss in [
+        ("boson", 2, 1000.0, 5.05e-3, "3.0e-6"),
+        ("fermion", 2, 0.001, 5.05e-3, "9.9e-7"),
+        ("fermion", 2, 0.001, 0.01, "9.8e-7"),
+        ("boson", 3, 1000.0, 5.7e-3, "4.1e-9"),
+        ("fermion", 3, 0.001, 5.7e-3, "1.4e-9"),
+    ]]
+
+
 class TestRouteBoundary:
     @pytest.mark.parametrize("stat,dim", GASES)
     @pytest.mark.parametrize("q", [0.5, 1.15])
@@ -87,6 +103,12 @@ class TestRouteBoundary:
         for s, t in zip(series, quad):
             assert _rel(s, t) <= 1e-11
 
+    @pytest.mark.parametrize("stat,dim,q,z", _ABOVE_BOUNDARY_MISSES)
+    def test_quadrature_above_boundary_at_extreme_q(self, stat, dim, q, z):
+        want = float(mp_oracle.curvature(stat, dim, q, z))
+        got = curvature_closed_form(GasSpec(stat, q, dim), z).R_reduced
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_series_record(self):
         m = moment_integrals(GasSpec("boson", 1.15, 2), 1e-3)
         assert m.route == "series"
@@ -98,7 +120,7 @@ class TestRouteBoundary:
         m = moment_integrals(GasSpec("boson", 1.15, 2), 0.5)
         assert m.route == "quadrature"
         assert m.neval > 0 and m.intervals > 0
-        assert m.excess == (m.b - m.a, m.c - m.a, m.d - m.a)
+        assert m.excess is None
 
     def test_unconverged_series_falls_back(self, monkeypatch):
         # a first omitted order that is not below the bound sends z to quadrature

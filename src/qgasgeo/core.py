@@ -109,23 +109,22 @@ def q_bracket(x, q):
 def validate_domain(spec, z, beta=1.0):
     """Check that fugacity z and inverse temperature beta lie in spec's physical domain.
 
-    beta must be finite and > 0.  Fermion gases accept 0 < z <= 4.74e153.
-    Boson gases are restricted to 0 < z < 1 for every q: the defining series
-    diverges at z >= 1 for q <= 1, and the x -> 0 edge is log-divergent for
-    z >= 1, q > 1.  Raises DomainError naming the violated constraint;
-    returns None.
+    z and beta must be real numbers (not bools), finite and > 0.  Fermion
+    gases accept z <= 4.74e153.  Boson gases are restricted to z < 1 for
+    every q: the defining series diverges at z >= 1 for q <= 1, and the
+    x -> 0 edge is log-divergent for z >= 1, q > 1.  Raises DomainError
+    naming the violated constraint; returns (z, beta) as floats.
     """
-    if not (math.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    if not (math.isfinite(z) and z > 0):
-        raise DomainError(f"fugacity z must be finite and > 0, got {z!r}")
+    _require_positive(beta, "beta")
+    _require_positive(z, "fugacity z")
+    z = float(z)
     if spec.statistics == BOSON and z >= 1.0:
         raise DomainError(
             f"boson fugacity must satisfy z < 1 (series domain), got z = {z!r}")
     if z > _FERMION_Z_MAX:
         raise DomainError(f"fermion fugacity must satisfy z <= {_FERMION_Z_MAX:.4g} "
                           f"(8 z^2 overflows above it), got z = {z!r}")
-    return None
+    return z, float(beta)
 
 
 def bisect(f, a, b, xtol):

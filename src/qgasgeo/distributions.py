@@ -78,7 +78,9 @@ class BosonThetaSeries:
     * q < 1: {m} rises to {inf} = 1/(1 - q^2).  From the k(x) where
       x ({inf} - {m}) < 1e-17 on, e^(-x{m}) equals e^(-x{inf}) to double
       precision, so that tail is a precomputed weight sum T[k] times one
-      exponential; the head is summed as for q > 1.
+      exponential; the head is summed as for q > 1.  Only q < 1 builds the
+      table T (in extended precision); q > 1 keeps T[0], the full sums,
+      for x = 0.
     * q = 1: the closed forms of `_q1_sums` at w = z e^(-x).
 
     No head is longer than K, so only the first min(K, M) terms are built.
@@ -135,8 +137,12 @@ class BosonThetaSeries:
         W *= (m + 1.0) * z ** m
         W[0, 0] = 0.0  # the m = 0 term is 1 in F0, so F0 - 1 leaves it out
         self._weights = W.T.copy()
-        # T[n] = total - sum_(m < n) W[:, m] in extended precision; T[0] serves
-        # x = 0.  Its error, ulps of the total, is ulps of a sum >= total e^(-x{inf}).
+        # T[0], the totals, serves x = 0.  Only q < 1 reads the tails
+        # T[n] = total - sum_(m < n) W[:, m], formed in extended precision; their
+        # error, ulps of the total, is ulps of a sum >= total e^(-x{inf})
+        if q > 1.0:
+            self._tails = np.array([totals])
+            return
         self._tails = np.empty((K + 1, 4))
         self._tails[0] = totals
         self._tails[1:] = (np.array(totals, dtype=np.longdouble)
@@ -322,7 +328,7 @@ def cumulant_kernel(spec, z):
     Raises DomainError outside the physical domain and, for bosons,
     ConvergenceError as BosonThetaSeries does.
     """
-    validate_domain(spec, z)
+    z, _ = validate_domain(spec, z)
     if spec.statistics == BOSON:
         excess_sums = BosonThetaSeries(z, spec.q).excess_sums
     else:

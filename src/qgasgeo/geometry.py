@@ -92,7 +92,7 @@ def metric_tensor(spec, beta, z):
     All moments are positive, so g12 > 0 in this sign convention.  Raises
     DomainError unless beta is finite and > 0 and z is in the domain.
     """
-    validate_domain(spec, z, beta)
+    z, beta = validate_domain(spec, z, beta)
     m = moment_integrals(spec, z)
     g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
     return MetricTensor(g11=g11, g12=g12, g22=g22)
@@ -101,24 +101,12 @@ def metric_tensor(spec, beta, z):
 def curvature_from_moments(moments):
     """Closed-form reduced curvature from an existing MomentSet (of moments.spec).
 
-    N = b^2 c + a b d - 2 a c^2.  Where the moments carry their excesses
-    eb = b - a, ec = c - a, ed = d - a (the series route, z < 5.6e-3), N is
-    formed as a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2)
-    + eb^2 ec: the a^3 terms of N cancel there symbolically, where in
-    floating point they would leave the rounding of a^3 against an N of
-    order z^4.  Quadrature moments use N as written.  At large z the
-    excesses are each about -a, so the excess form would add three terms of
-    order a^3 that cancel to an N of order a^3 / ln(z)^6 (a fermion at
-    z = 1e80 lost 3e-4 that way).
+    R = 5 sqrt(pi) N / (5ac - 3b^2)^2 for D = 3 and 2 N / (2ac - b^2)^2 for
+    D = 2, with N = b^2 c + a b d - 2 a c^2 taken from `MomentSet.numerator`,
+    which forms it as suits the route of the moments.
     """
     spec = moments.spec
-    a, b, c, d = moments
-    if moments.excess is None:
-        numerator = b * b * c + a * b * d - 2.0 * a * c * c
-    else:
-        eb, ec, ed = moments.excess
-        numerator = (a * a * (3.0 * eb - 3.0 * ec + ed)
-                     + a * (eb * eb + 2.0 * eb * ec + eb * ed - 2.0 * ec * ec) + eb * eb * ec)
+    a, b, c, _ = moments
     if spec.dimension == 3:
         denom = 5.0 * a * c - 3.0 * b * b
         scale = 5.0 * SQRT_PI
@@ -128,7 +116,7 @@ def curvature_from_moments(moments):
     if abs(denom) < _DEGENERATE_FLOOR:
         raise DegenerateMetricError(
             f"metric denominator {denom!r} below {_DEGENERATE_FLOOR} for {spec} at z = {moments.z}")
-    R = scale * numerator / (denom * denom)
+    R = scale * moments.numerator / (denom * denom)
     return CurvatureResult(R_reduced=R, moments=moments)
 
 
@@ -160,7 +148,7 @@ def determinant_curvature_oracle(spec, beta, z):
     The reduced result (units lambda^D / volume) is independent of beta.
     Raises DomainError unless beta is finite and > 0 and z is in the domain.
     """
-    validate_domain(spec, z, beta)
+    z, beta = validate_domain(spec, z, beta)
     p = spec.p
     m = moment_integrals(spec, z)
     g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))

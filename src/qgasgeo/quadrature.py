@@ -109,7 +109,8 @@ class MomentSet:
     are 0 on the series route and when not recorded.  excess holds
     (b - a, c - a, d - a) on the series route, summed without forming b, c,
     d, and is None on the quadrature route, whose moments give no more
-    accurate excesses than their float differences.
+    accurate excesses than their float differences.  `numerator` is the
+    curvature numerator N in the form that suits the route.
     """
 
     a: float
@@ -127,6 +128,27 @@ class MomentSet:
     def __iter__(self):
         # unpack as a, b, c, d
         return iter((self.a, self.b, self.c, self.d))
+
+    @property
+    def numerator(self):
+        """N = b^2 c + a b d - 2 a c^2, the numerator of the curvature.
+
+        Where the moments carry their excesses eb = b - a, ec = c - a,
+        ed = d - a (the series route, z < 5.6e-3), N is formed as
+        a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2) + eb^2 ec:
+        the a^3 terms of N cancel there symbolically, where in floating point
+        they would leave the rounding of a^3 against an N of order z^4.
+        Quadrature moments use N as written.  At large z the excesses are each
+        about -a, so the excess form would add three terms of order a^3 that
+        cancel to an N of order a^3 / ln(z)^6 (a fermion at z = 1e80 lost
+        3e-4 that way).
+        """
+        a, b, c, d = self
+        if self.excess is None:
+            return b * b * c + a * b * d - 2.0 * a * c * c
+        eb, ec, ed = self.excess
+        return (a * a * (3.0 * eb - 3.0 * ec + ed)
+                + a * (eb * eb + 2.0 * eb * ec + eb * ed - 2.0 * ec * ec) + eb * eb * ec)
 
 
 class QuadInfo(NamedTuple):
@@ -166,38 +188,38 @@ def _gk21(f, a, b):
     return hc * s_k, err, rnd
 
 
-def quad_vec(f, a, b, epsabs, epsrel, limit):
+def quad_vec(f, a, b):
     """Integral of the vector-valued f over [a, b]: (result, error, QuadInfo).
 
     f maps a 1-D array of abscissae to an (n, m) array.  Global adaptive
-    bisection: the intervals sit in a heap keyed by their error; each step
-    bisects the largest-error intervals (at least one, at most 128, until
-    their errors exceed global_error - tol/8) with one call of f for all
-    children, and updates the global integral and error.  It stops with
+    bisection: the intervals sit in a heap as (-error, lo, hi, integral);
+    each step bisects the largest-error intervals (at least one, at most 128,
+    until their errors exceed global_error - tol/8) with one call of f for
+    all children, and updates the global integral and error.  It stops with
     success once there are two or more intervals and global_error < tol/8,
-    tol = max(epsabs, epsrel |result|_max); without success once the global
-    error falls below the accumulated rounding error, on a non-finite error,
-    or when the interval count reaches `limit`.  The returned error is the
-    global error plus the rounding error.
+    tol = max(ABS_TOL, REL_TOL |result|_max); without success once the
+    global error falls below the accumulated rounding error, on a
+    non-finite error, or when the interval count reaches MAX_SUBDIVISIONS.
+    The tolerances and the budget are read at call time.  The returned
+    error is the global error plus the rounding error.
     """
     ig, err, rnd = _gk21(f, np.array([a], dtype=float), np.array([b], dtype=float))
     total = ig[0]
     global_error = float(err[0])
     rounding_error = float(rnd[0])
-    integrals = {(a, b): ig[0]}
-    heap = [(-global_error, a, b)]
+    # no two intervals share (lo, hi), so the integrals are never compared
+    heap = [(-global_error, a, b, ig[0])]
     neval = 21
     success = False
-    while len(heap) < limit:
-        tol = max(epsabs, epsrel * np.abs(total).max())
+    while len(heap) < MAX_SUBDIVISIONS:
+        tol = max(ABS_TOL, REL_TOL * np.abs(total).max())
         popped = []
         err_sum = 0.0
         for j in range(_BATCH):
             if not heap or (j > 0 and err_sum > global_error - tol / 8):
                 break
-            neg_err, lo, hi = heapq.heappop(heap)
-            popped.append((-neg_err, lo, hi))
-            err_sum -= neg_err
+            popped.append(heapq.heappop(heap))
+            err_sum -= popped[-1][0]
         lo = np.array([p[1] for p in popped])
         hi = np.array([p[2] for p in popped])
         mid = 0.5 * (lo + hi)
@@ -206,18 +228,16 @@ def quad_vec(f, a, b, epsabs, epsrel, limit):
                              np.column_stack((mid, hi)).ravel())
         neval += 42 * len(popped)
         err, rnd, mid = err.tolist(), rnd.tolist(), mid.tolist()
-        for j, (old_err, a_j, b_j) in enumerate(popped):
+        for j, (neg_err, a_j, b_j, old) in enumerate(popped):
             c_j = mid[j]
             s1, s2 = ig[2 * j], ig[2 * j + 1]
-            total = total + (s1 + s2 - integrals.pop((a_j, b_j)))
-            global_error += err[2 * j] + err[2 * j + 1] - old_err
+            total = total + (s1 + s2 - old)
+            global_error += err[2 * j] + err[2 * j + 1] + neg_err
             rounding_error += rnd[2 * j] + rnd[2 * j + 1]
-            integrals[(a_j, c_j)] = s1
-            integrals[(c_j, b_j)] = s2
-            heapq.heappush(heap, (-err[2 * j], a_j, c_j))
-            heapq.heappush(heap, (-err[2 * j + 1], c_j, b_j))
+            heapq.heappush(heap, (-err[2 * j], a_j, c_j, s1))
+            heapq.heappush(heap, (-err[2 * j + 1], c_j, b_j, s2))
         if len(heap) >= 2:
-            tol = max(epsabs, epsrel * np.abs(total).max())
+            tol = max(ABS_TOL, REL_TOL * np.abs(total).max())
             if global_error < tol / 8:
                 success = True
                 break
@@ -225,7 +245,7 @@ def quad_vec(f, a, b, epsabs, epsrel, limit):
                 break
         if not (math.isfinite(global_error) and math.isfinite(rounding_error)):
             break
-    intervals = np.array([[lo, hi] for _, lo, hi in heap])
+    intervals = np.array([p[1:3] for p in heap])
     return total, global_error + rounding_error, QuadInfo(neval, intervals, success)
 
 
@@ -243,9 +263,8 @@ def _tail_cutoff(lfun, nu, z):
 
 def _series_moments(spec, z):
     """MomentSet from the cluster expansion, or None when its first omitted
-    order is not below 2^-56 of a.  Raises DomainError outside the physical
-    domain (the quadrature route checks it in `cumulant_kernel`)."""
-    validate_domain(spec, z)
+    order is not below 2^-56 of a.  z is in the domain (`moment_integrals`
+    checks it)."""
     A = cluster_coefficients(spec) * z ** _ORDERS
     est_error = float(abs(A[-1]) * _ORDERS[-1] ** 3)
     a, *excess = (_EXCESS_WEIGHTS @ A[:-1]).tolist()
@@ -264,8 +283,7 @@ def _quadrature_moments(spec, z):
     def integrand(u):
         return (2.0 * u ** (2.0 * spec.nu + 1.0))[:, None] * lfun(u * u)
 
-    res, err, info = quad_vec(integrand, 0.0, math.sqrt(x_max),
-                              epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS)
+    res, err, info = quad_vec(integrand, 0.0, math.sqrt(x_max))
     if not info.success:
         raise ToleranceError(
             f"quadrature did not converge for {spec} at z = {z}: "
@@ -289,6 +307,7 @@ def moment_integrals(spec, z):
     (carrying the achieved error estimate) if the subdivision budget is
     exhausted before the tolerances are met.
     """
+    z, _ = validate_domain(spec, z)
     if 2.0 * math.gamma(spec.p) * z < ABS_TOL / REL_TOL:
         moments = _series_moments(spec, z)
         if moments is not None:

@@ -1,6 +1,7 @@
 """Domain types, the deformed bracket, and domain validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qgasgeo import (
     GasSpec,
     curvature_closed_form,
     fugacity_from_density,
+    metric_tensor,
     q_bracket,
     validate_domain,
 )
@@ -169,20 +171,30 @@ class TestValidateDomain:
 
 @pytest.mark.parametrize("value,accepted", [
     (np.int64(2), True), (np.float32(1.5), True), (True, False), (math.nan, False),
-], ids=["int64", "float32", "bool", "nan"])
+    ("0.5", False),
+], ids=["int64", "float32", "bool", "nan", "str"])
 def test_positive_real_parameters(value, accepted):
-    # q of q_bracket and GasSpec and the density of fugacity_from_density
-    # share one check: any real number but a bool, finite and > 0
+    # q of q_bracket and GasSpec, the density of fugacity_from_density, the
+    # fugacity z and beta share one check: any real number but a bool,
+    # finite and > 0
+    fermion = GasSpec("fermion", 1.0, 3)
     entries = (lambda v: q_bracket(1.0, v),
                lambda v: GasSpec("boson", v, 3),
-               lambda v: fugacity_from_density(GasSpec("boson", 1.0, 3), v))
+               lambda v: fugacity_from_density(GasSpec("boson", 1.0, 3), v),
+               lambda v: curvature_closed_form(fermion, v),
+               lambda v: metric_tensor(fermion, v, 0.5))
     for entry in entries:
         if accepted:
-            entry(value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entry(value)
         else:
             with pytest.raises(DomainError, match="must be finite and > 0"):
                 entry(value)
     if accepted:
-        # and a numpy q gives the curvature of the same float q
+        # and a numpy q, z or beta gives the result of the same float
         r = curvature_closed_form(GasSpec("fermion", value, 3), 0.5).R_reduced
         assert r == curvature_closed_form(GasSpec("fermion", float(value), 3), 0.5).R_reduced
+        r = curvature_closed_form(fermion, value).R_reduced
+        assert r == curvature_closed_form(fermion, float(value)).R_reduced
+        assert metric_tensor(fermion, value, 0.5) == metric_tensor(fermion, float(value), 0.5)

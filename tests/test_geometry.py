@@ -99,7 +99,7 @@ class TestCurvatureClosedForm:
         assert r.moments.z == 0.5
 
 
-class TestFiniteDifferenceMode:
+class TestGammaLadder:
     """Central differences of the moments in ln z against the gamma ladder."""
 
     @pytest.mark.parametrize("spec", GRID)

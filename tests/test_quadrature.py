@@ -112,9 +112,11 @@ class TestBatchedIntegrator:
         spec = GasSpec(stat, q, dim)
         got = quadrature._quadrature_moments(spec, z)
 
-        def scalar_quad_vec(f, a, b, epsabs, epsrel, limit):
-            return integrate.quad_vec(lambda x: f(np.array([x]))[0], a, b, epsabs=epsabs,
-                                      epsrel=epsrel, norm="max", limit=limit, full_output=True)
+        def scalar_quad_vec(f, a, b):
+            return integrate.quad_vec(lambda x: f(np.array([x]))[0], a, b,
+                                      epsabs=quadrature.ABS_TOL, epsrel=quadrature.REL_TOL,
+                                      norm="max", limit=quadrature.MAX_SUBDIVISIONS,
+                                      full_output=True)
 
         monkeypatch.setattr(quadrature, "quad_vec", scalar_quad_vec)
         want = quadrature._quadrature_moments(spec, z)

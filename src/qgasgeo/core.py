@@ -41,7 +41,8 @@ class DomainError(ValueError):
 
 def _require_positive(value, name):
     """Raise DomainError unless value is a real number (not a bool), finite and > 0."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    # float and int are Real; naming them first spares the slower ABC check
+    if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
             or not (math.isfinite(value) and value > 0)):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 

@@ -36,6 +36,9 @@ MAX_TERMS = 10 ** 6
 
 # orders of z the cluster expansion sums; one more order estimates the rest
 CLUSTER_ORDER = 10
+# gases whose cluster coefficients are kept: a sign-boundary search visits
+# about 16 values of q, a z sweep one
+_CLUSTER_MEMO = 256
 
 # e^(-t) rounds to exactly 0.0 in double precision for t >= 746.
 _EXP_ZERO = 746.0
@@ -80,7 +83,10 @@ class BosonThetaSeries:
       precision, so that tail is a precomputed weight sum T[k] times one
       exponential; the head is summed as for q > 1.  Only q < 1 builds the
       table T (in extended precision); q > 1 keeps T[0], the full sums,
-      for x = 0.
+      for x = 0.  T relies on an 80-bit np.longdouble: where np.longdouble
+      is float64 (Windows, macOS on arm64), the worst R error of the
+      perfbench edge lattice rises from 2.4e-13 to 1.5e-12, still inside
+      the quadrature's REL_TOL.
     * q = 1: the closed forms of `_q1_sums` at w = z e^(-x).
 
     No head is longer than K, so only the first min(K, M) terms are built.
@@ -186,8 +192,9 @@ class BosonThetaSeries:
 
     def _block_sums(self, x, k):
         width = int(k.max())
-        # x = 0 against {m} = inf is NaN at q > 1; those rows are replaced below
-        with np.errstate(invalid="ignore"):
+        # x = 0 against {m} = inf is NaN at q > 1; those rows are replaced below.
+        # Past the head of a large x, x {m} overflows to inf, and e^(-inf) = 0.
+        with np.errstate(invalid="ignore", over="ignore"):
             e = np.exp(np.multiply.outer(-x, self._br[:width]))
         if self.q < 1.0:
             e[np.arange(width) >= k[:, None]] = 0.0
@@ -279,6 +286,7 @@ def _cluster_table(statistics):
     return parts, np.array(weights), np.array(starts), sizes, (parts == 2).sum(axis=1) / sizes
 
 
+@functools.lru_cache(maxsize=_CLUSTER_MEMO)
 def cluster_coefficients(spec):
     """A_n = int_0^inf x^nu [z^n] ln F dx for n = 1..CLUSTER_ORDER + 1.
 
@@ -287,6 +295,11 @@ def cluster_coefficients(spec):
     for the fermion parts 1 and 2.  Each exponential integrates in closed
     form, so A_n = Gamma(D/2) sum_P c_P Lambda_P^(-D/2), and the moments are
     a, b, c, d = sum_n n^k A_n z^n.
+
+    A_n depend on the gas alone, not on z, so they are computed once per
+    spec value (statistics, q, dimension) and kept for the _CLUSTER_MEMO
+    most recently used gases; the returned array is read-only, since every
+    caller with an equal spec shares it.
     """
     parts, weights, starts, sizes, twos = _cluster_table(spec.statistics)
     p = spec.p
@@ -302,7 +315,9 @@ def cluster_coefficients(spec):
         base = weights * sizes ** -p
         change = np.expm1(-p * np.log1p(twos * _inverse_square(spec.q)))
         sums = np.add.reduceat(base, starts) + np.add.reduceat(base * change, starts)
-    return math.gamma(p) * sums
+    coefficients = math.gamma(p) * sums
+    coefficients.setflags(write=False)
+    return coefficients
 
 
 def _cumulants(sums):

@@ -105,9 +105,8 @@ def curvature_from_moments(moments):
     D = 2, with N = b^2 c + a b d - 2 a c^2 taken from `MomentSet.numerator`,
     which forms it as suits the route of the moments.
     """
-    spec = moments.spec
-    a, b, c, _ = moments
-    if spec.dimension == 3:
+    a, b, c = moments.a, moments.b, moments.c
+    if moments.spec.dimension == 3:
         denom = 5.0 * a * c - 3.0 * b * b
         scale = 5.0 * SQRT_PI
     else:
@@ -115,9 +114,9 @@ def curvature_from_moments(moments):
         scale = 2.0
     if abs(denom) < _DEGENERATE_FLOOR:
         raise DegenerateMetricError(
-            f"metric denominator {denom!r} below {_DEGENERATE_FLOOR} for {spec} at z = {moments.z}")
-    R = scale * moments.numerator / (denom * denom)
-    return CurvatureResult(R_reduced=R, moments=moments)
+            f"metric denominator {denom!r} below {_DEGENERATE_FLOOR} for {moments.spec} "
+            f"at z = {moments.z}")
+    return CurvatureResult(scale * moments.numerator / (denom * denom), moments)
 
 
 def curvature_closed_form(spec, z):

@@ -16,7 +16,9 @@ Where the first order of the moments, 2 Gamma(D/2) z, is below
 ABS_TOL / REL_TOL, the absolute tolerance would bind, so `moment_integrals`
 sums the cluster expansion of `distributions.cluster_coefficients` instead;
 it falls back to the quadrature if the first omitted order is not below
-2^-56 of a.
+2^-56 of a.  The coefficients A_n depend on the gas alone: they are computed
+once per (statistics, q, D) and shared by every z, so a series point costs
+only its z-dependent sums.
 
 `quad_vec` is a global-adaptive Gauss-Kronrod 21 integrator in the max norm
 (the QUADPACK error estimate, with the intervals of largest error bisected
@@ -88,6 +90,8 @@ _X_MAX_PAD = 5.0  # added to the analytic tail cutoff ln(max(2z, 2) / ABS_TOL)
 # so that the excesses b - a, c - a, d - a never contain the n = 1 term.
 _ORDERS = np.arange(1.0, CLUSTER_ORDER + 2.0)
 _EXCESS_WEIGHTS = np.vstack([_ORDERS[:-1] ** k for k in range(4)]) - [[0.0], [1.0], [1.0], [1.0]]
+# n^3 of the last order: its term of d bounds the omitted orders
+_LAST_ORDER_CUBED = (CLUSTER_ORDER + 1.0) ** 3
 _SERIES_REL = 2.0 ** -56
 
 
@@ -143,7 +147,7 @@ class MomentSet:
         cancel to an N of order a^3 / ln(z)^6 (a fermion at z = 1e80 lost
         3e-4 that way).
         """
-        a, b, c, d = self
+        a, b, c, d = self.a, self.b, self.c, self.d
         if self.excess is None:
             return b * b * c + a * b * d - 2.0 * a * c * c
         eb, ec, ed = self.excess
@@ -266,13 +270,12 @@ def _series_moments(spec, z):
     order is not below 2^-56 of a.  z is in the domain (`moment_integrals`
     checks it)."""
     A = cluster_coefficients(spec) * z ** _ORDERS
-    est_error = float(abs(A[-1]) * _ORDERS[-1] ** 3)
-    a, *excess = (_EXCESS_WEIGHTS @ A[:-1]).tolist()
+    est_error = abs(float(A[-1])) * _LAST_ORDER_CUBED
+    a, eb, ec, ed = (_EXCESS_WEIGHTS @ A[:-1]).tolist()
     if not est_error < _SERIES_REL * a:
         return None
-    b, c, d = (a + e for e in excess)
-    return MomentSet(a=a, b=b, c=c, d=d, est_error=est_error, spec=spec, z=z,
-                     route="series", excess=tuple(excess))
+    return MomentSet(a, a + eb, a + ec, a + ed, est_error, spec, z,
+                     route="series", excess=(eb, ec, ed))
 
 
 def _quadrature_moments(spec, z):

@@ -11,6 +11,7 @@ from qgasgeo import (
     GasSpec,
     curvature_closed_form,
     curvature_from_moments,
+    curvature_sign_boundary,
     moment_integrals,
     quadrature,
 )
@@ -47,6 +48,36 @@ class TestCoefficients:
         # {m} = inf past q^(2m) overflow and q^-2 = inf below 1.3e-154 drop their terms
         for q in (1e-160, 1e160):
             assert np.isfinite(cluster_coefficients(GasSpec(stat, q, dim))).all()
+
+
+class TestCoefficientMemo:
+    """A_n are computed once per gas value and shared by every z."""
+
+    @pytest.mark.parametrize("stat,dim", GASES)
+    def test_memo_is_bit_identical(self, stat, dim):
+        for q in (1e-160, 1e-3, 0.5, 1.0, 1.15, 10.0, 1e3, 1e160):
+            spec = GasSpec(stat, q, dim)
+            cluster_coefficients(spec)
+            fresh = cluster_coefficients.__wrapped__(spec)
+            assert cluster_coefficients(spec).tobytes() == fresh.tobytes()
+
+    def test_shared_array_is_read_only(self):
+        A = cluster_coefficients(GasSpec("boson", 1.15, 2))
+        with pytest.raises(ValueError):
+            A[0] = 0.0
+
+    def test_keyed_by_spec_value(self):
+        same = [cluster_coefficients(GasSpec("fermion", q, 3)) for q in (2, 2.0, np.float64(2.0))]
+        assert same[1] is same[0] and same[2] is same[0]
+        one = cluster_coefficients(GasSpec("fermion", 1.0, 3))
+        assert cluster_coefficients(GasSpec("fermion", np.nextafter(1.0, 2.0), 3)) is not one
+
+    def test_bounded(self):
+        maxsize = cluster_coefficients.cache_info().maxsize
+        assert maxsize is not None
+        for q in np.geomspace(0.5, 2.0, 1000):
+            cluster_coefficients(GasSpec("boson", float(q), 3))
+        assert cluster_coefficients.cache_info().currsize <= maxsize
 
 
 _ORACLE_CASES = (
@@ -121,6 +152,18 @@ class TestRouteBoundary:
         assert m.route == "quadrature"
         assert m.neval > 0 and m.intervals > 0
         assert m.excess is None
+
+    @pytest.mark.parametrize("stat,lo,hi,root", [
+        ("boson", 1.1, 1.5, 1.2721679687500003),
+        ("fermion", 1.5, 2.5, 1.97515869140625),
+    ])
+    def test_search_on_series_route(self, monkeypatch, stat, lo, hi, root):
+        # at z = 10^-2.3 every evaluation of a D = 3 search is a series point
+        def no_quadrature(spec, z):
+            raise AssertionError(f"quadrature route taken for {spec} at z = {z}")
+
+        monkeypatch.setattr(quadrature, "_quadrature_moments", no_quadrature)
+        assert curvature_sign_boundary(GasSpec(stat, 1.0, 3), 10.0 ** -2.3, lo, hi) == root
 
     def test_unconverged_series_falls_back(self, monkeypatch):
         # a first omitted order that is not below the bound sends z to quadrature

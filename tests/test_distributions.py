@@ -14,7 +14,7 @@ from qgasgeo import (
     fermion_h_sums,
     q_bracket,
 )
-from qgasgeo.distributions import SERIES_TOL, BosonThetaSeries
+from qgasgeo.distributions import SERIES_TOL, BosonThetaSeries, _q1_sums
 from qgasgeo.quadrature import _GK21_NODES
 
 
@@ -271,6 +271,16 @@ class TestArrayKernel:
         np.testing.assert_allclose(batch, rows, rtol=tol, atol=0.0)
         kernel = cumulant_kernel(GasSpec("boson", q, 2), 0.99)
         assert kernel(x).shape == (len(x), 4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_batch_with_x0_and_large_x(self):
+        # x = 0 widens the head of the batch to all K terms, whose brackets
+        # near 1e308 overflow x {m} to inf at x = 1000; e^(-inf) = 0 is right
+        series = BosonThetaSeries(0.9, 2.0)
+        x = np.logspace(-12, 3, 60)
+        sums = series.excess_sums(np.concatenate(([0.0], x)))
+        np.testing.assert_array_equal(sums[0], _q1_sums(0.9))
+        assert sums[1:].tobytes() == series.excess_sums(x).tobytes()
 
     @pytest.mark.parametrize("spec,z", [
         (GasSpec("boson", 0.5, 3), 0.9),

@@ -8,7 +8,7 @@ second-order virial coefficient.  They agree to a few percent at z = 0.01,
 and the virial roots are exact limits of the curvature boundaries as z -> 0.
 """
 
-from qgasgeo import GasSpec, closed_form_threshold, curvature_sign_boundary, fugacity_from_density
+from qgasgeo import GasSpec, curvature_sign_boundary, fugacity_from_density, virial_threshold
 
 z = 0.01
 cases = [
@@ -20,7 +20,7 @@ cases = [
 print(f"curvature sign boundary at z = {z:g} vs virial root")
 for stat, dim, kind, lo, hi in cases:
     q_curv = curvature_sign_boundary(GasSpec(stat, 1.0, dim), z, lo, hi)
-    q_vir = closed_form_threshold(kind)
+    q_vir = virial_threshold(kind)
     print(f"  {stat:<8} D={dim}  q*(R) = {q_curv:.5f}   "
           f"q*({kind}) = {q_vir:.5f}   dev = {abs(q_curv - q_vir):.4f}")
 
@@ -28,7 +28,7 @@ q_d2f = curvature_sign_boundary(GasSpec("fermion", 1.0, 2), z, 0.3, 8.0)
 print(f"  fermion  D=2  q*(R) = {q_d2f} (always fermion-like, as is zeta > 0)")
 
 # at the eta root the D=2 boson is ideal through second order: z(n) = n/2
-q_star = closed_form_threshold("eta")
+q_star = virial_threshold("eta")
 n = 0.3
 z_at_root = fugacity_from_density(GasSpec("boson", q_star, 2), n)
 print(f"\nboson D=2 at q = sqrt(2): z(n={n:g}) = {z_at_root:.15f} (= n/2 exactly)")

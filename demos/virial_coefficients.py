@@ -12,12 +12,12 @@ import numpy as np
 
 from qgasgeo import (
     alpha,
-    closed_form_threshold,
     delta,
     eta,
     virial_threshold,
     zeta_fermion_d2,
 )
+from qgasgeo.core import bisect
 
 qs = np.linspace(0.2, 3.0, 15)
 print("      q       alpha        delta          eta         zeta")
@@ -26,9 +26,9 @@ for q in qs:
           f"{eta(q):+12.6f} {zeta_fermion_d2(q):+12.6f}")
 
 print("\nroots, bisection vs closed form:")
-for kind in ("alpha", "delta", "eta", "zeta"):
-    num = virial_threshold(kind)
-    exact = closed_form_threshold(kind)
+for kind, f in (("alpha", alpha), ("delta", delta), ("eta", eta), ("zeta", zeta_fermion_d2)):
+    num = bisect(f, 0.5, 5.0, xtol=1e-10)
+    exact = virial_threshold(kind)
     if exact is None:
         print(f"  {kind:<6} no sign change (bisection agrees: {num})")
     else:

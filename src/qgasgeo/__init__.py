@@ -46,7 +46,6 @@ from .virial import (
     KINDS,
     OutOfVirialRangeError,
     alpha,
-    closed_form_threshold,
     delta,
     eta,
     fugacity_from_density,
@@ -70,7 +69,6 @@ __all__ = [
     "OutOfVirialRangeError",
     "ToleranceError",
     "alpha",
-    "closed_form_threshold",
     "cumulant_kernel",
     "curvature_closed_form",
     "curvature_from_moments",

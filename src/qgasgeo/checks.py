@@ -2,7 +2,7 @@
 
 Each check takes no arguments and returns (ok, detail): the closed form
 against the determinant oracle, the q = 1 moments against polylogarithms,
-the bisected virial roots and q = 1 values against closed forms, metric
+the closed-form virial roots against bisection and the q = 1 values, metric
 positivity, and the beta independence of the reduced curvature.  Every
 grid and tolerance is written once, here, next to the mpmath polylogarithm
 reference `polylog_reference_q1`.  `qgasgeo selfcheck` runs
@@ -12,10 +12,10 @@ functions.  A NaN deviation fails its check.
 
 import mpmath
 
-from .core import BOSON, FERMION, GasSpec, validate_domain
+from .core import BOSON, FERMION, GasSpec, bisect, validate_domain
 from .geometry import curvature_closed_form, determinant_curvature_oracle, metric_tensor
 from .quadrature import moment_integrals
-from .virial import alpha, closed_form_threshold, delta, eta, virial_threshold, zeta_fermion_d2
+from .virial import alpha, delta, eta, virial_threshold, zeta_fermion_d2
 
 __all__ = [
     "CHECKS",
@@ -112,11 +112,12 @@ def polylog_moments():
 
 
 def virial_thresholds():
-    """Bisected roots vs closed forms to 1e-6, no zeta root, q = 1 values to 1e-10."""
+    """Closed-form roots vs a bisection of each coefficient over q in [0.5, 5]
+    to 1e-6, no zeta root, q = 1 values to 1e-10."""
     root_tol, value_tol = 1e-6, 1e-10
     roots_ok, worst_root = _within(
-        (abs(virial_threshold(kind) - closed_form_threshold(kind))
-         for kind in ("alpha", "delta", "eta")), root_tol)
+        (abs(virial_threshold(kind) - bisect(f, 0.5, 5.0, xtol=1e-10))
+         for kind, f in (("alpha", alpha), ("delta", delta), ("eta", eta))), root_tol)
     zeta_none = virial_threshold("zeta") is None
     ref = 2.0 ** -3.5  # 1/(8 sqrt 2), independent arithmetic
     values_ok, worst_val = _within(

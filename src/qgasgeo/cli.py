@@ -7,6 +7,7 @@ curvature-q   R as a function of deformation q at fixed fugacities
 virial        second-order virial coefficients alpha, delta, eta, zeta vs q
 signtable     sign of R for the standard q values at small fugacity
 selfcheck     run the cross-checks of `qgasgeo.checks`; exit 0 iff all pass
+              (--format json: one object with each check's result and time)
 
 Exit codes: 0 success, 1 usage error, 2 domain error on every grid point,
 3 self-check failure.  Sweep output is CSV (default) or JSON with one row
@@ -178,18 +179,27 @@ def _run_selfcheck(args):
     from . import checks
 
     t0 = time.perf_counter()
-    passed = 0
+    results = []
     for name, check in checks.CHECKS:
+        t = time.perf_counter()
         try:
             ok, detail = check()
         except Exception as exc:  # a crashing check reports and counts as failed
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        passed += bool(ok)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    total = len(checks.CHECKS)
+        results.append({"name": name, "passed": bool(ok), "detail": detail,
+                        "seconds": time.perf_counter() - t})
+        if args.format == "text":
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    passed = sum(r["passed"] for r in results)
+    total = len(results)
     elapsed = time.perf_counter() - t0
-    print(f"{'OK' if passed == total else 'FAILED'}: {passed}/{total} checks passed "
-          f"in {elapsed:.1f} s")
+    if args.format == "json":
+        json.dump({"checks": results, "passed": passed, "total": total,
+                   "ok": passed == total, "seconds": elapsed}, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        print(f"{'OK' if passed == total else 'FAILED'}: {passed}/{total} checks passed "
+              f"in {elapsed:.1f} s")
     return 0 if passed == total else 3
 
 
@@ -239,7 +249,10 @@ def _build_parser():
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output path (default stdout)")
 
-    sub.add_parser("selfcheck", help="run oracle cross-validations; exit 0 iff all pass")
+    p = sub.add_parser("selfcheck", help="run oracle cross-validations; exit 0 iff all pass")
+    p.add_argument("--format", choices=["text", "json"], default="text",
+                   help="one line per check, or one JSON object with each check's "
+                        "name, pass flag, detail and seconds (default %(default)s)")
     return parser
 
 

@@ -63,12 +63,17 @@ class MetricTensor:
         return self.g11 * self.g22 - self.g12 * self.g12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurvatureResult:
     """Reduced scalar curvature and the moments used."""
 
     R_reduced: float
     moments: MomentSet
+
+    def __init__(self, R_reduced, moments):
+        # as MomentSet: the instance dict directly, not object.__setattr__
+        fields = self.__dict__
+        fields["R_reduced"], fields["moments"] = R_reduced, moments
 
 
 def _components(spec, beta, abc):

@@ -17,8 +17,11 @@ ABS_TOL / REL_TOL, the absolute tolerance would bind, so `moment_integrals`
 sums the cluster expansion of `distributions.cluster_coefficients` instead;
 it falls back to the quadrature if the first omitted order is not below
 2^-56 of a.  The coefficients A_n depend on the gas alone: they are computed
-once per (statistics, q, D) and shared by every z, so a series point costs
-only its z-dependent sums.
+once per (statistics, q, D) and kept, with the weights n^k - 1 of the
+excesses folded in, as tuples of floats shared by every z.  A series point
+then costs the domain check, four Horner sums over ten orders in plain
+floats and the two immutable records: about 5 us for a whole
+`curvature_closed_form` call on a 2-vCPU x86-64 container (timeit).
 
 `quad_vec` is a global-adaptive Gauss-Kronrod 21 integrator in the max norm
 (the QUADPACK error estimate, with the intervals of largest error bisected
@@ -26,6 +29,7 @@ first).  Each refinement step bisects up to 128 intervals and evaluates all
 of their 42 abscissae per interval in one call of the array kernel.
 """
 
+import functools
 import heapq
 import math
 import sys
@@ -35,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GasSpec, validate_domain
-from .distributions import CLUSTER_ORDER, cluster_coefficients, cumulant_kernel
+from .distributions import _CLUSTER_MEMO, CLUSTER_ORDER, cluster_coefficients, cumulant_kernel
 
 __all__ = [
     "MomentSet",
@@ -85,11 +89,14 @@ REL_TOL = 1e-10
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 200
 _X_MAX_PAD = 5.0  # added to the analytic tail cutoff ln(max(2z, 2) / ABS_TOL)
-# orders n = 1..CLUSTER_ORDER + 1 of the cluster expansion; the last one is
-# only the error estimate.  Rows of the weights: 1, n - 1, n^2 - 1, n^3 - 1,
-# so that the excesses b - a, c - a, d - a never contain the n = 1 term.
-_ORDERS = np.arange(1.0, CLUSTER_ORDER + 2.0)
-_EXCESS_WEIGHTS = np.vstack([_ORDERS[:-1] ** k for k in range(4)]) - [[0.0], [1.0], [1.0], [1.0]]
+# 2 Gamma(D/2) by dimension: the first order of every moment is 2 Gamma(D/2) z
+_TWO_GAMMA = {2: 2.0 * math.gamma(1.0), 3: 2.0 * math.gamma(1.5)}
+# orders n = 1..CLUSTER_ORDER of the cluster expansion that are summed; order
+# CLUSTER_ORDER + 1 is only the error estimate.  Rows of the weights: 1,
+# n - 1, n^2 - 1, n^3 - 1, so that the excesses b - a, c - a, d - a never
+# contain the n = 1 term.
+_ORDERS = np.arange(1.0, CLUSTER_ORDER + 1.0)
+_EXCESS_WEIGHTS = np.vstack([_ORDERS ** k for k in range(4)]) - [[0.0], [1.0], [1.0], [1.0]]
 # n^3 of the last order: its term of d bounds the omitted orders
 _LAST_ORDER_CUBED = (CLUSTER_ORDER + 1.0) ** 3
 _SERIES_REL = 2.0 ** -56
@@ -103,7 +110,7 @@ class ToleranceError(RuntimeError):
         self.est_error = est_error
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MomentSet:
     """The four theta-moment integrals at one (spec, z) with the error estimate.
 
@@ -128,6 +135,17 @@ class MomentSet:
     intervals: int = 0
     route: str = "quadrature"
     excess: tuple = None
+
+    def __init__(self, a, b, c, d, est_error, spec, z, neval=0, intervals=0,
+                 route="quadrature", excess=None):
+        # fills the instance dict directly: the generated frozen __init__
+        # sets each field through object.__setattr__, about a microsecond
+        # more per record; assignment after construction still raises
+        fields = self.__dict__
+        fields["a"], fields["b"], fields["c"], fields["d"] = a, b, c, d
+        fields["est_error"], fields["spec"], fields["z"] = est_error, spec, z
+        fields["neval"], fields["intervals"] = neval, intervals
+        fields["route"], fields["excess"] = route, excess
 
     def __iter__(self):
         # unpack as a, b, c, d
@@ -265,17 +283,34 @@ def _tail_cutoff(lfun, nu, z):
     return x_max
 
 
+@functools.lru_cache(maxsize=_CLUSTER_MEMO)
+def _series_weights(spec):
+    """Weights of the series sums of one gas in plain floats:
+    ((A_n, (n - 1) A_n, (n^2 - 1) A_n, (n^3 - 1) A_n) for n = CLUSTER_ORDER
+    down to 1, A_(CLUSTER_ORDER + 1)).  Kept, like `cluster_coefficients`,
+    for the most recently used gases."""
+    A = cluster_coefficients(spec)
+    rows = (_EXCESS_WEIGHTS * A[:-1]).T[::-1]
+    return tuple(map(tuple, rows.tolist())), float(A[-1])
+
+
 def _series_moments(spec, z):
     """MomentSet from the cluster expansion, or None when its first omitted
     order is not below 2^-56 of a.  z is in the domain (`moment_integrals`
-    checks it)."""
-    A = cluster_coefficients(spec) * z ** _ORDERS
-    est_error = abs(float(A[-1])) * _LAST_ORDER_CUBED
-    a, eb, ec, ed = (_EXCESS_WEIGHTS @ A[:-1]).tolist()
+    checks it).  a and the excesses are summed by Horner's rule in plain
+    floats, within 1.5 ulps of the exact sums of the same weights."""
+    rows, last = _series_weights(spec)
+    a = eb = ec = ed = 0.0
+    for wa, wb, wc, wd in rows:
+        a = (a + wa) * z
+        eb = (eb + wb) * z
+        ec = (ec + wc) * z
+        ed = (ed + wd) * z
+    est_error = abs(last * z ** (CLUSTER_ORDER + 1)) * _LAST_ORDER_CUBED
     if not est_error < _SERIES_REL * a:
         return None
-    return MomentSet(a, a + eb, a + ec, a + ed, est_error, spec, z,
-                     route="series", excess=(eb, ec, ed))
+    # neval and intervals are 0 on this route
+    return MomentSet(a, a + eb, a + ec, a + ed, est_error, spec, z, 0, 0, "series", (eb, ec, ed))
 
 
 def _quadrature_moments(spec, z):
@@ -311,7 +346,7 @@ def moment_integrals(spec, z):
     exhausted before the tolerances are met.
     """
     z, _ = validate_domain(spec, z)
-    if 2.0 * math.gamma(spec.p) * z < ABS_TOL / REL_TOL:
+    if _TWO_GAMMA[spec.dimension] * z < ABS_TOL / REL_TOL:
         moments = _series_moments(spec, z)
         if moments is not None:
             return moments

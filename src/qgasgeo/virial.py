@@ -17,9 +17,12 @@ boson-like; the curvature agrees, R -> -(1 + D/2) B (paper normalization)
 as z -> 0.  B vanishes at Lambda* = (c 2^(D/2 - 1))^(2/D), which is a
 deformation q* = sqrt(Lambda* - 1) for bosons and (Lambda* - 1)^(-1/2) for
 fermions; the D=2 fermion has Lambda* = 1 and so no root, zeta > 0 for every q.
+`virial_threshold` returns q* from this closed form, evaluated once per gas
+when the module loads, so a call is a table lookup; `checks.virial_thresholds`
+cross-checks it against a numerical bisection of B(q).
 """
 
-from .core import BOSON, FERMION, _require_positive, bisect
+from .core import BOSON, FERMION, _require_positive
 
 __all__ = [
     "KINDS",
@@ -28,7 +31,6 @@ __all__ = [
     "delta",
     "eta",
     "fugacity_from_density",
-    "closed_form_threshold",
     "virial_threshold",
     "zeta_fermion_d2",
 ]
@@ -98,27 +100,27 @@ def zeta_fermion_d2(q):
     return _coefficient((FERMION, 2), q)
 
 
-def closed_form_threshold(kind):
-    """Exact root q* of the named coefficient, or None if it has no sign change.
-
-    alpha: (2^(1/3) - 1)^(-1/2); delta: ((3 sqrt(2))^(2/3) - 1)^(1/2);
-    eta: sqrt(2); zeta: None.
-    """
-    statistics, dimension = _gas(kind)
+def _threshold(statistics, dimension):
+    """Root q* of B(q), or None where Lambda* <= 1 (no sign change)."""
     lam = (_EXCHANGE[statistics] * 2.0 ** (dimension / 2.0 - 1.0)) ** (2.0 / dimension)
     if lam <= 1.0:
         return None
     return (lam - 1.0) ** (0.5 if statistics == BOSON else -0.5)
 
 
-def virial_threshold(kind):
-    """Bisection root of the named coefficient over q in [0.5, 5], or None.
+# q* of each (statistics, D)
+_THRESHOLDS = {gas: _threshold(*gas) for gas in _GASES.values()}
 
-    Bisection runs to |dq| < 1e-10 (the closed forms double as the oracle for
-    this).  Returns None when the coefficient does not change sign on the
-    bracket, which is the case for zeta.
+
+def virial_threshold(kind):
+    """Root q* of the named coefficient in closed form, or None if it has no sign change.
+
+    q* = (Lambda* - 1)^(1/2) for bosons and (Lambda* - 1)^(-1/2) for
+    fermions, Lambda* = (c 2^(D/2 - 1))^(2/D): alpha (2^(1/3) - 1)^(-1/2),
+    delta ((3 sqrt(2))^(2/3) - 1)^(1/2), eta sqrt(2), each within an ulp of
+    the exact root; zeta None.  Raises ValueError for any other kind.
     """
-    return bisect(_B[_gas(kind)], 0.5, 5.0, xtol=1e-10)
+    return _THRESHOLDS[_gas(kind)]
 
 
 def fugacity_from_density(spec, density):

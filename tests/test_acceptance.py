@@ -15,7 +15,7 @@ from pathlib import Path
 import mp_oracle
 import numpy as np
 
-from qgasgeo import GasSpec, closed_form_threshold, curvature_closed_form, curvature_sign_boundary
+from qgasgeo import GasSpec, curvature_closed_form, curvature_sign_boundary, virial_threshold
 from qgasgeo import checks
 
 RESULTS = []
@@ -72,9 +72,9 @@ def test_criterion_04_virial_thresholds_and_values():
 
 def test_criterion_05_curvature_virial_consistency():
     cases = [
-        ("boson", 3, 1.0, 1.6, closed_form_threshold("delta")),
-        ("boson", 2, 1.0, 2.0, closed_form_threshold("eta")),
-        ("fermion", 3, 1.0, 3.0, closed_form_threshold("alpha")),
+        ("boson", 3, 1.0, 1.6, virial_threshold("delta")),
+        ("boson", 2, 1.0, 2.0, virial_threshold("eta")),
+        ("fermion", 3, 1.0, 3.0, virial_threshold("alpha")),
     ]
     devs = []
     for stat, dim, lo, hi, q_ref in cases:

@@ -218,3 +218,34 @@ class TestExitCodes:
         assert out[:2] == ["PASS passing: fine",
                            "FAIL raising: ZeroDivisionError: float division by zero"]
         assert out[2].startswith("FAILED: 1/2 checks passed")
+
+    def test_selfcheck_json(self, capsys):
+        rc = main(["selfcheck", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert [c["name"] for c in doc["checks"]] == [name for name, _ in checks.CHECKS]
+        for c in doc["checks"]:
+            assert set(c) == {"name", "passed", "detail", "seconds"}
+            assert c["passed"] is True and c["detail"]
+            assert 0.0 <= c["seconds"] <= doc["seconds"]
+        assert (doc["passed"], doc["total"], doc["ok"]) == (5, 5, True)
+        assert sum(c["seconds"] for c in doc["checks"]) <= doc["seconds"]
+
+    def test_selfcheck_json_reports_a_raising_check(self, capsys, monkeypatch):
+        def raising():
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(checks, "CHECKS", (("passing", lambda: (True, "fine")),
+                                               ("raising", raising)))
+        rc = main(["selfcheck", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 3
+        assert [(c["name"], c["passed"], c["detail"]) for c in doc["checks"]] == [
+            ("passing", True, "fine"),
+            ("raising", False, "ZeroDivisionError: float division by zero")]
+        assert (doc["passed"], doc["total"], doc["ok"]) == (1, 2, False)
+
+    def test_selfcheck_rejects_other_formats(self):
+        with pytest.raises(SystemExit) as err:
+            main(["selfcheck", "--format", "csv"])
+        assert err.value.code == 1

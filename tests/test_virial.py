@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from qgasgeo import (
     GasSpec,
     OutOfVirialRangeError,
     alpha,
-    closed_form_threshold,
     curvature_closed_form,
     delta,
     eta,
@@ -19,6 +19,7 @@ from qgasgeo import (
     virial_threshold,
     zeta_fermion_d2,
 )
+from qgasgeo.core import bisect
 
 REF_Q1 = 2.0 ** -3.5  # 1 / (8 sqrt(2))
 
@@ -92,28 +93,44 @@ class TestSmallFugacityLimit:
 
 
 class TestThresholds:
+    COEFFICIENTS = {"alpha": alpha, "delta": delta, "eta": eta}
+
     @pytest.mark.parametrize("kind,root", [
         ("alpha", (2.0 ** (1.0 / 3.0) - 1.0) ** -0.5),
         ("delta", ((3.0 * math.sqrt(2.0)) ** (2.0 / 3.0) - 1.0) ** 0.5),
         ("eta", math.sqrt(2.0)),
     ])
     def test_bisection_matches_closed_form(self, kind, root):
-        assert closed_form_threshold(kind) == pytest.approx(root, abs=1e-15)
-        assert virial_threshold(kind) == pytest.approx(root, abs=1e-8)
+        assert virial_threshold(kind) == pytest.approx(root, abs=1e-15)
+        f = self.COEFFICIENTS[kind]
+        assert bisect(f, 0.5, 5.0, xtol=1e-10) == pytest.approx(root, abs=1e-8)
+
+    @pytest.mark.parametrize("kind,stat,dim", [
+        ("alpha", "fermion", 3),
+        ("delta", "boson", 3),
+        ("eta", "boson", 2),
+    ])
+    def test_within_two_ulps_of_mpmath_root(self, kind, stat, dim):
+        # the root of B(q) = (2^(1 - D/2) - c Lambda^(-D/2)) / 4 found at 40
+        # digits from the coefficient itself, not from the closed form
+        c, power = (3, 1) if stat == "boson" else (1, -1)
+        with mpmath.workdps(40):
+            def coefficient(q):
+                return (mpmath.mpf(2) ** (1 - mpmath.mpf(dim) / 2)
+                        - c * (1 + q ** (2 * power)) ** (-mpmath.mpf(dim) / 2)) / 4
+            want = float(mpmath.findroot(coefficient, (0.5, 5.0), solver="anderson"))
+        assert abs(virial_threshold(kind) - want) <= 2.0 * math.ulp(want)
 
     @pytest.mark.parametrize("kind", ["alpha", "delta", "eta"])
-    def test_same_root_as_scipy_bisect(self, kind):
-        optimize = pytest.importorskip("scipy.optimize")
-        f = {"alpha": alpha, "delta": delta, "eta": eta}[kind]
-        assert virial_threshold(kind) == optimize.bisect(f, 0.5, 5.0, xtol=1e-10)
+    def test_coefficient_changes_sign_across_root(self, kind):
+        q_star = virial_threshold(kind)
+        f = self.COEFFICIENTS[kind]
+        assert f(q_star * (1.0 - 1e-12)) * f(q_star * (1.0 + 1e-12)) < 0.0
 
     def test_zeta_has_no_threshold(self):
-        assert closed_form_threshold("zeta") is None
         assert virial_threshold("zeta") is None
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            closed_form_threshold("gamma")
         with pytest.raises(ValueError):
             virial_threshold("gamma")
 
@@ -125,8 +142,8 @@ class TestThresholds:
     def test_sign_ties_to_curvature_at_low_z(self, kind, stat, dim):
         # coefficient > 0 is the fermion-like side (R < 0) and vice versa,
         # checked 0.1 on either side of the threshold at z = 0.01
-        q_star = closed_form_threshold(kind)
-        f = {"alpha": alpha, "delta": delta, "eta": eta}[kind]
+        q_star = virial_threshold(kind)
+        f = self.COEFFICIENTS[kind]
         for q in (q_star - 0.1, q_star + 0.1):
             coeff = f(q)
             R = curvature_closed_form(GasSpec(stat, q, dim), 0.01).R_reduced

@@ -81,7 +81,7 @@ def polylog_reference_q1(spec, z):
     """
     if spec.q != 1.0:
         raise ValueError(f"polylog reference only applies at q = 1, got q = {spec.q}")
-    z, _ = validate_domain(spec, z)
+    z = validate_domain(spec, z)
     prefactor = 2.0 * float(mpmath.gamma(spec.nu + 1.0))
     s_top = spec.nu + 2.0
     sign = 1.0 if spec.statistics == BOSON else -1.0

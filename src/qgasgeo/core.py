@@ -107,16 +107,15 @@ def q_bracket(x, q):
     return out if out.ndim else float(out)
 
 
-def validate_domain(spec, z, beta=1.0):
-    """Check that fugacity z and inverse temperature beta lie in spec's physical domain.
+def validate_domain(spec, z):
+    """Check that fugacity z lies in spec's physical domain; return it as a float.
 
-    z and beta must be real numbers (not bools), finite and > 0.  Fermion
-    gases accept z <= 4.74e153.  Boson gases are restricted to z < 1 for
-    every q: the defining series diverges at z >= 1 for q <= 1, and the
-    x -> 0 edge is log-divergent for z >= 1, q > 1.  Raises DomainError
-    naming the violated constraint; returns (z, beta) as floats.
+    z must be a real number (not a bool), finite and > 0.  Fermion gases
+    accept z <= 4.74e153.  Boson gases are restricted to z < 1 for every q:
+    the defining series diverges at z >= 1 for q <= 1, and the x -> 0 edge
+    is log-divergent for z >= 1, q > 1.  Raises DomainError naming the
+    violated constraint.  beta is checked by the callers that take it.
     """
-    _require_positive(beta, "beta")
     _require_positive(z, "fugacity z")
     z = float(z)
     if spec.statistics == BOSON and z >= 1.0:
@@ -125,7 +124,7 @@ def validate_domain(spec, z, beta=1.0):
     if z > _FERMION_Z_MAX:
         raise DomainError(f"fermion fugacity must satisfy z <= {_FERMION_Z_MAX:.4g} "
                           f"(8 z^2 overflows above it), got z = {z!r}")
-    return z, float(beta)
+    return z
 
 
 def bisect(f, a, b, xtol):

@@ -36,9 +36,6 @@ MAX_TERMS = 10 ** 6
 
 # orders of z the cluster expansion sums; one more order estimates the rest
 CLUSTER_ORDER = 10
-# gases whose cluster coefficients are kept: a sign-boundary search visits
-# about 16 values of q, a z sweep one
-_CLUSTER_MEMO = 256
 
 # e^(-t) rounds to exactly 0.0 in double precision for t >= 746.
 _EXP_ZERO = 746.0
@@ -286,7 +283,6 @@ def _cluster_table(statistics):
     return parts, np.array(weights), np.array(starts), sizes, (parts == 2).sum(axis=1) / sizes
 
 
-@functools.lru_cache(maxsize=_CLUSTER_MEMO)
 def cluster_coefficients(spec):
     """A_n = int_0^inf x^nu [z^n] ln F dx for n = 1..CLUSTER_ORDER + 1.
 
@@ -296,10 +292,9 @@ def cluster_coefficients(spec):
     form, so A_n = Gamma(D/2) sum_P c_P Lambda_P^(-D/2), and the moments are
     a, b, c, d = sum_n n^k A_n z^n.
 
-    A_n depend on the gas alone, not on z, so they are computed once per
-    spec value (statistics, q, dimension) and kept for the _CLUSTER_MEMO
-    most recently used gases; the returned array is read-only, since every
-    caller with an equal spec shares it.
+    A_n depend on the gas alone, not on z.  Each call computes them afresh
+    and returns a new array that the caller owns; the series route keeps
+    them per gas in `quadrature._series_weights`.
     """
     parts, weights, starts, sizes, twos = _cluster_table(spec.statistics)
     p = spec.p
@@ -315,9 +310,7 @@ def cluster_coefficients(spec):
         base = weights * sizes ** -p
         change = np.expm1(-p * np.log1p(twos * _inverse_square(spec.q)))
         sums = np.add.reduceat(base, starts) + np.add.reduceat(base * change, starts)
-    coefficients = math.gamma(p) * sums
-    coefficients.setflags(write=False)
-    return coefficients
+    return math.gamma(p) * sums
 
 
 def _cumulants(sums):
@@ -343,7 +336,7 @@ def cumulant_kernel(spec, z):
     Raises DomainError outside the physical domain and, for bosons,
     ConvergenceError as BosonThetaSeries does.
     """
-    z, _ = validate_domain(spec, z)
+    z = validate_domain(spec, z)
     if spec.statistics == BOSON:
         excess_sums = BosonThetaSeries(z, spec.q).excess_sums
     else:

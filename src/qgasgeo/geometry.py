@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import bisect, validate_domain
+from .core import _require_positive, bisect
 from .quadrature import MomentSet, moment_integrals
 
 __all__ = [
@@ -97,9 +97,9 @@ def metric_tensor(spec, beta, z):
     All moments are positive, so g12 > 0 in this sign convention.  Raises
     DomainError unless beta is finite and > 0 and z is in the domain.
     """
-    z, beta = validate_domain(spec, z, beta)
+    _require_positive(beta, "beta")
     m = moment_integrals(spec, z)
-    g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
+    g11, g12, g22 = _components(spec, float(beta), (m.a, m.b, m.c))
     return MetricTensor(g11=g11, g12=g12, g22=g22)
 
 
@@ -152,7 +152,8 @@ def determinant_curvature_oracle(spec, beta, z):
     The reduced result (units lambda^D / volume) is independent of beta.
     Raises DomainError unless beta is finite and > 0 and z is in the domain.
     """
-    z, beta = validate_domain(spec, z, beta)
+    _require_positive(beta, "beta")
+    beta = float(beta)
     p = spec.p
     m = moment_integrals(spec, z)
     g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
@@ -163,7 +164,7 @@ def determinant_curvature_oracle(spec, beta, z):
     dg_g11, dg_g12, dg_g22 = _components(spec, beta, (-m.b, -m.c, -m.d))
     det_g = g11 * g22 - g12 * g12
     if det_g < _DEGENERATE_FLOOR:
-        raise DegenerateMetricError(f"det g = {det_g!r} not positive for {spec} at z = {z}")
+        raise DegenerateMetricError(f"det g = {det_g!r} not positive for {spec} at z = {m.z}")
     M = np.array([[g11, g22, g12],
                   [db_g11, db_g22, db_g12],
                   [dg_g11, dg_g22, dg_g12]])

@@ -16,12 +16,13 @@ Where the first order of the moments, 2 Gamma(D/2) z, is below
 ABS_TOL / REL_TOL, the absolute tolerance would bind, so `moment_integrals`
 sums the cluster expansion of `distributions.cluster_coefficients` instead;
 it falls back to the quadrature if the first omitted order is not below
-2^-56 of a.  The coefficients A_n depend on the gas alone: they are computed
-once per (statistics, q, D) and kept, with the weights n^k - 1 of the
-excesses folded in, as tuples of floats shared by every z.  A series point
-then costs the domain check, four Horner sums over ten orders in plain
-floats and the two immutable records: about 5 us for a whole
-`curvature_closed_form` call on a 2-vCPU x86-64 container (timeit).
+2^-56 of a.  The coefficients A_n depend on the gas alone: `_series_weights`
+computes them once per (statistics, q, D) and keeps them, with the weights
+n^k - 1 of the excesses folded in, as tuples of floats shared by every z;
+it is the route's one memo.  A series point then costs the domain check,
+four Horner sums over ten orders in plain floats and the two immutable
+records: about 5 us for a whole `curvature_closed_form` call on a 2-vCPU
+x86-64 container (timeit).
 
 `quad_vec` is a global-adaptive Gauss-Kronrod 21 integrator in the max norm
 (the QUADPACK error estimate, with the intervals of largest error bisected
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GasSpec, validate_domain
-from .distributions import _CLUSTER_MEMO, CLUSTER_ORDER, cluster_coefficients, cumulant_kernel
+from .distributions import CLUSTER_ORDER, cluster_coefficients, cumulant_kernel
 
 __all__ = [
     "MomentSet",
@@ -283,12 +284,18 @@ def _tail_cutoff(lfun, nu, z):
     return x_max
 
 
-@functools.lru_cache(maxsize=_CLUSTER_MEMO)
+# gases whose series weights are kept: a sign-boundary search visits about
+# 16 values of q, a z sweep one
+_SERIES_MEMO = 256
+
+
+@functools.lru_cache(maxsize=_SERIES_MEMO)
 def _series_weights(spec):
     """Weights of the series sums of one gas in plain floats:
     ((A_n, (n - 1) A_n, (n^2 - 1) A_n, (n^3 - 1) A_n) for n = CLUSTER_ORDER
-    down to 1, A_(CLUSTER_ORDER + 1)).  Kept, like `cluster_coefficients`,
-    for the most recently used gases."""
+    down to 1, A_(CLUSTER_ORDER + 1)).  The one memo of the series route:
+    computed once per spec value and kept for the _SERIES_MEMO most
+    recently used gases."""
     A = cluster_coefficients(spec)
     rows = (_EXCESS_WEIGHTS * A[:-1]).T[::-1]
     return tuple(map(tuple, rows.tolist())), float(A[-1])
@@ -345,7 +352,7 @@ def moment_integrals(spec, z):
     (carrying the achieved error estimate) if the subdivision budget is
     exhausted before the tolerances are met.
     """
-    z, _ = validate_domain(spec, z)
+    z = validate_domain(spec, z)
     if _TWO_GAMMA[spec.dimension] * z < ABS_TOL / REL_TOL:
         moments = _series_moments(spec, z)
         if moments is not None:

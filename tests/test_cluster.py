@@ -53,33 +53,39 @@ class TestCoefficients:
 
 
 class TestCoefficientMemo:
-    """A_n are computed once per gas value and shared by every z."""
+    """The series route keeps its weights once per gas value in
+    `quadrature._series_weights`; `cluster_coefficients` keeps nothing."""
 
     @pytest.mark.parametrize("stat,dim", GASES)
     def test_memo_is_bit_identical(self, stat, dim):
         for q in (1e-160, 1e-3, 0.5, 1.0, 1.15, 10.0, 1e3, 1e160):
             spec = GasSpec(stat, q, dim)
-            cluster_coefficients(spec)
-            fresh = cluster_coefficients.__wrapped__(spec)
-            assert cluster_coefficients(spec).tobytes() == fresh.tobytes()
+            quadrature._series_weights(spec)
+            fresh = quadrature._series_weights.__wrapped__(spec)
+            assert repr(quadrature._series_weights(spec)) == repr(fresh)
 
-    def test_shared_array_is_read_only(self):
-        A = cluster_coefficients(GasSpec("boson", 1.15, 2))
-        with pytest.raises(ValueError):
-            A[0] = 0.0
+    def test_coefficients_are_fresh_and_writable(self):
+        spec = GasSpec("boson", 1.15, 2)
+        first, second = cluster_coefficients(spec), cluster_coefficients(spec)
+        assert first is not second
+        assert first.tobytes() == second.tobytes()
+        assert first.flags.writeable and second.flags.writeable
+        first[0] = 0.0
+        assert second[0] != 0.0
 
     def test_keyed_by_spec_value(self):
-        same = [cluster_coefficients(GasSpec("fermion", q, 3)) for q in (2, 2.0, np.float64(2.0))]
+        same = [quadrature._series_weights(GasSpec("fermion", q, 3))
+                for q in (2, 2.0, np.float64(2.0))]
         assert same[1] is same[0] and same[2] is same[0]
-        one = cluster_coefficients(GasSpec("fermion", 1.0, 3))
-        assert cluster_coefficients(GasSpec("fermion", np.nextafter(1.0, 2.0), 3)) is not one
+        one = quadrature._series_weights(GasSpec("fermion", 1.0, 3))
+        assert quadrature._series_weights(GasSpec("fermion", np.nextafter(1.0, 2.0), 3)) is not one
 
     def test_bounded(self):
-        maxsize = cluster_coefficients.cache_info().maxsize
+        maxsize = quadrature._series_weights.cache_info().maxsize
         assert maxsize is not None
         for q in np.geomspace(0.5, 2.0, 1000):
-            cluster_coefficients(GasSpec("boson", float(q), 3))
-        assert cluster_coefficients.cache_info().currsize <= maxsize
+            quadrature._series_weights(GasSpec("boson", float(q), 3))
+        assert quadrature._series_weights.cache_info().currsize <= maxsize
 
 
 class TestSeriesSums:

@@ -161,12 +161,15 @@ class TestValidateDomain:
         with pytest.raises(DomainError):
             validate_domain(GasSpec("boson", 1.0, 2), 1.0)
 
-    def test_rejects_nonpositive_z_and_beta(self):
-        spec = GasSpec("fermion", 1.0, 3)
-        with pytest.raises(DomainError):
-            validate_domain(spec, -0.5)
-        with pytest.raises(DomainError):
-            validate_domain(spec, 0.5, beta=0.0)
+    def test_rejects_nonpositive_z(self):
+        # beta is checked by metric_tensor and determinant_curvature_oracle
+        # (tests/test_geometry.py::TestMetricTensor::test_rejects_bad_beta)
+        with pytest.raises(DomainError, match="fugacity z"):
+            validate_domain(GasSpec("fermion", 1.0, 3), -0.5)
+
+    def test_returns_z_as_float(self):
+        z = validate_domain(GasSpec("fermion", 1.0, 3), np.int64(3))
+        assert type(z) is float and z == 3.0
 
 
 @pytest.mark.parametrize("value,accepted", [

@@ -207,6 +207,7 @@ _FEATURE_POINTS = [
     # a large-q boson changes at x ~ q^-2
     ("boson", 100.0, 0.3), ("boson", 100.0, 0.9),
     ("boson", 1000.0, 0.5), ("boson", 1000.0, 0.9),
+    ("boson", 1000.0, 0.01), ("boson", 1000.0, 0.03), ("boson", 1000.0, 0.1),
 ]
 
 # D = 3 points where the quadrature stops after 105-189 integrand calls
@@ -216,6 +217,9 @@ _D3_MISSES = {
     ("fermion", 0.001, 30.0): "9.0e-10",
     ("boson", 1000.0, 0.5): "6.6e-10",
     ("boson", 1000.0, 0.9): "1.1e-9",
+    ("boson", 1000.0, 0.01): "4.0e-9",
+    ("boson", 1000.0, 0.03): "3.6e-9",
+    ("boson", 1000.0, 0.1): "2.4e-9",
 }
 
 
@@ -244,35 +248,39 @@ class TestPlanarAgainstMpOracle:
 # float64 quadrature, rounded to doubles, would leave R at most 5.4e-12
 # off; the quadrature's own error grows with z
 _LARGE_Z_MISSES = {
-    (2, 1e40): "9.9e-10", (2, 1e80): "1.5e-8",
-    (3, 1e40): "8.3e-9", (3, 1e80): "1.2e-8",
+    (0.5, 2, 1e40): "9.9e-10", (0.5, 2, 1e80): "1.5e-8", (0.5, 2, 1e150): "9.6e-7",
+    (0.5, 3, 1e40): "8.3e-9", (0.5, 3, 1e80): "1.2e-8", (0.5, 3, 1e150): "5.5e-7",
+    (2.0, 2, 1e20): "2.5e-9", (2.0, 3, 1e20): "3.5e-10",
 }
 
 
 def _large_z_cases():
+    # q = 0.5 ids are D-z, others add a q prefix
+    points = [(0.5, z) for z in (1e6, 1e10, 1e40, 1e80, 1e150)] + [(2.0, 1e20)]
     for dim in (2, 3):
-        for z in (1e6, 1e10, 1e40, 1e80):
-            miss = _LARGE_Z_MISSES.get((dim, z))
+        for q, z in points:
+            miss = _LARGE_Z_MISSES.get((q, dim, z))
             marks = () if miss is None else pytest.mark.xfail(
                 strict=True, reason=f"R off by {miss} relative, no error raised")
-            yield pytest.param(dim, z, marks=marks, id=f"D{dim}-{z:g}")
+            yield pytest.param(q, dim, z, marks=marks,
+                               id=("" if q == 0.5 else f"q{q:g}-") + f"D{dim}-{z:g}")
 
 
 class TestLargeFugacityAgainstMpOracle:
-    """The fermion at q = 0.5 far past the trapezoid oracle's reach."""
+    """Fermions at q = 0.5 and 2 far past the trapezoid oracle's reach."""
 
     def test_split_oracle_matches_trapezoid_oracle(self):
         want = mp_oracle.moments("fermion", 2, 0.5, 1e4)
         for got, w in zip(mp_oracle.fermion_moments_split(2, 0.5, 1e4), want):
             assert abs(got / w - 1) < 1e-20
 
-    @pytest.mark.parametrize("dim,z", _large_z_cases())
-    def test_matches_oracle(self, dim, z):
+    @pytest.mark.parametrize("q,dim,z", _large_z_cases())
+    def test_matches_oracle(self, q, dim, z):
         # N = b^2 c + a b d - 2 a c^2 adds terms of order a^3 that cancel to
         # an N of order a^3 / ln(z)^6; formed from the excesses b - a, c - a,
         # d - a, each about -a here, R was 3e-4 off at z = 1e80
         with mp_oracle.mp.workdps(mp_oracle.DIGITS + 8):
             want = float(mp_oracle.curvature_from_moments(
-                dim, *mp_oracle.fermion_moments_split(dim, 0.5, z)))
-        got = curvature_closed_form(GasSpec("fermion", 0.5, dim), z).R_reduced
+                dim, *mp_oracle.fermion_moments_split(dim, q, z)))
+        got = curvature_closed_form(GasSpec("fermion", q, dim), z).R_reduced
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)

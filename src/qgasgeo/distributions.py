@@ -18,7 +18,16 @@ import math
 
 import numpy as np
 
-from .core import BOSON, LOG_MAX, DomainError, q_bracket, validate_domain
+from .core import (
+    BOSON,
+    FERMION,
+    LOG_MAX,
+    DomainError,
+    GasSpec,
+    _require_positive,
+    q_bracket,
+    validate_domain,
+)
 
 __all__ = [
     "CLUSTER_ORDER",
@@ -75,30 +84,30 @@ class BosonThetaSeries:
       x{m} >= 746 and e^(-x{m}) is exactly 0.0; only the first k(x) terms
       are summed, in one product of the k(x) exponentials with the stacked
       weights (m+1) m^k z^m, k = 0..3.
-    * q < 1: {m} rises to {inf} = 1/(1 - q^2).  From the k(x) where
-      x ({inf} - {m}) < 1e-17 on, e^(-x{m}) equals e^(-x{inf}) to double
-      precision, so that tail is a precomputed weight sum T[k] times one
-      exponential; the head is summed as for q > 1.  Only q < 1 builds the
-      table T (in extended precision); q > 1 keeps T[0], the full sums,
-      for x = 0.  T relies on an 80-bit np.longdouble: where np.longdouble
-      is float64 (Windows, macOS on arm64), the worst R error of the
-      perfbench edge lattice rises from 2.4e-13 to 1.5e-12, still inside
-      the quadrature's REL_TOL.
+    * q < 1: {m} rises to {inf} = 1/(1 - q^2), and with the gaps
+      g_m = {inf} - {m} the sums are
+      F_k(x) = e^(-x{inf}) T_k + sum_m w_km e^(-x{m}) (-expm1(-x g_m)),
+      with the weights w_km = (m+1) m^k z^m and T_k the full sums (x = 0).
+      Every term is >= 0, so plain floats suffice.  From the k(x) where
+      x g_m < 1e-17 on, a term is below 1e-17 of its share of
+      e^(-x{inf}) T_k, so only the first k(x) are summed.
     * q = 1: the closed forms of `_q1_sums` at w = z e^(-x).
 
     No head is longer than K, so only the first min(K, M) terms are built.
-    An array of abscissae is evaluated in one pass: the exponentials of all
-    rows are taken over the widest head of the batch, each row is zeroed past
-    its own k(x) (at q > 1 those terms are already 0.0), and one matrix
-    product with the weights gives the sums.
+    An array of abscissae is evaluated in one pass: the terms of all rows
+    are taken over the widest head of the batch (past a row's own k(x) they
+    are 0.0 at q > 1 and negligible at q < 1), and one matrix product with
+    the weights gives the sums.
     """
 
     def __init__(self, z, q):
+        _require_positive(q, "deformation parameter q")
         if not 0.0 < z < 1.0:
             raise DomainError(f"boson series requires 0 < z < 1, got z = {z!r}")
         self.z = z
         self.q = q
         totals = _q1_sums(z)
+        self._totals = np.array(totals)
 
         def term3(m):
             return (m + 1.0) * m ** 3 * z ** m
@@ -140,23 +149,16 @@ class BosonThetaSeries:
         W *= (m + 1.0) * z ** m
         W[0, 0] = 0.0  # the m = 0 term is 1 in F0, so F0 - 1 leaves it out
         self._weights = W.T.copy()
-        # T[0], the totals, serves x = 0.  Only q < 1 reads the tails
-        # T[n] = total - sum_(m < n) W[:, m], formed in extended precision; their
-        # error, ulps of the total, is ulps of a sum >= total e^(-x{inf})
-        if q > 1.0:
-            self._tails = np.array([totals])
-            return
-        self._tails = np.empty((K + 1, 4))
-        self._tails[0] = totals
-        self._tails[1:] = (np.array(totals, dtype=np.longdouble)
-                           - np.cumsum(W, axis=1, dtype=np.longdouble).T)
+        if q < 1.0:
+            # from the float brackets the exponentials use; {inf} q^(2m) is less accurate
+            self._gap = self._br_inf - self._br
 
     def cut(self, x):
         """Head length k(x) at x >= 0 and q != 1 (see the class docstring).
 
         Takes a scalar (returns an int) or an array.  At x = 0 no term
-        vanishes: k(0) is K for q > 1 and 0 for q < 1, where every term is
-        in the tail sum T[0].
+        vanishes: k(0) is K for q > 1 and 0 for q < 1, where the sums are
+        the totals T.
         """
         xs = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
@@ -194,12 +196,14 @@ class BosonThetaSeries:
         with np.errstate(invalid="ignore", over="ignore"):
             e = np.exp(np.multiply.outer(-x, self._br[:width]))
         if self.q < 1.0:
-            e[np.arange(width) >= k[:, None]] = 0.0
+            # the terms e^(-x{m}) (-expm1(-x g_m)) are formed negated, in
+            # place, and subtracted: fewer temporary matrices
+            g = np.multiply.outer(-x, self._gap[:width])
+            e *= np.expm1(g, out=g)
+            return (np.multiply.outer(np.exp(-x * self._br_inf), self._totals)
+                    - e @ self._weights[:width])
         sums = e @ self._weights[:width]
-        if self.q < 1.0:
-            sums += self._tails[k] * np.exp(-x * self._br_inf)[:, None]
-        else:
-            sums[x == 0.0] = self._tails[0]  # the whole series at x = 0
+        sums[x == 0.0] = self._totals  # the whole series at x = 0
         return sums
 
 
@@ -235,8 +239,12 @@ def fermion_h_sums(x, z, q):
     """Fermion sums (F0, F1, F2, F3) from the closed three-term form of h.
 
     F0 = 1 + 2 e^(-x) z + e^(-(q^-2 + 1) x) z^2 and
-    F_k = 2 e^(-x) z + 2^k e^(-(q^-2 + 1) x) z^2 for k >= 1.
+    F_k = 2 e^(-x) z + 2^k e^(-(q^-2 + 1) x) z^2 for k >= 1.  Raises
+    DomainError for z and q outside the fermion domain, as `cumulant_kernel`
+    does.
     """
+    # the dimension does not enter h
+    z = validate_domain(GasSpec(FERMION, q, 2), z)
     s0, f1, f2, f3 = _fermion_excess_sums(z, q)(float(x))[0].tolist()
     return 1.0 + s0, f1, f2, f3
 

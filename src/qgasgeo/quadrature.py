@@ -4,8 +4,8 @@ The four integrals are evaluated in one adaptive pass with the vector-valued
 integrand `distributions.cumulant_kernel`, so the four share one evaluation
 of the sums per abscissa.  That kernel sums a boson series only as far as the
 abscissa needs it: at q > 1 the terms past an x-dependent index are exactly
-zero, at q < 1 they form a precomputed tail, and q = 1 has closed forms (see
-`BosonThetaSeries`).  Both dimensions integrate 2 u^(2 nu + 1) L_k(u^2) du
+zero, at q < 1 they are the full sums times e^(-x{inf}) to double precision,
+and q = 1 has closed forms (see `BosonThetaSeries`).  Both dimensions integrate 2 u^(2 nu + 1) L_k(u^2) du
 in u = sqrt(x): it removes the x^(1/2) endpoint factor at D = 3 and widens
 the features near x = 0 at D = 2 (a small-q fermion steps at x ~ q^2, a
 large-q boson at x ~ q^-2).  The infinite tail is cut at x_max where the

@@ -59,6 +59,11 @@ class TestBosonThetaSums:
         with pytest.raises(DomainError):
             BosonThetaSeries(0.5, 0.5).excess_sums(-1.0)
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_q(self, q):
+        with pytest.raises(DomainError, match="deformation parameter q must be finite and > 0"):
+            BosonThetaSeries(0.5, q)
+
     def test_nonconvergence_raises(self):
         # the k = 3 terms peak near m = 4 / (1 - z) = 4e5 and are still above
         # SERIES_TOL of their sum at MAX_TERMS
@@ -93,6 +98,18 @@ class TestFermionHSums:
         assert F1 == pytest.approx(u + 2 * v, rel=1e-15)
         assert F2 == pytest.approx(u + 4 * v, rel=1e-15)
         assert F3 == pytest.approx(u + 8 * v, rel=1e-15)
+
+    @pytest.mark.parametrize("z,q", [
+        (0.5, -2.0), (0.5, 0.0), (0.5, math.nan), (-0.5, 2.0), (math.nan, 2.0), (1e160, 2.0),
+    ])
+    def test_rejects_what_the_kernel_rejects(self, z, q):
+        def message(call):
+            with pytest.raises(DomainError) as err:
+                call()
+            return str(err.value)
+
+        want = message(lambda: cumulant_kernel(GasSpec("fermion", q, 2), z))
+        assert message(lambda: fermion_h_sums(1.0, z, q)) == want
 
 
 class TestLogMoments:
@@ -200,7 +217,8 @@ class TestKernelTruncation:
     @pytest.mark.parametrize("q", [0.5, 0.8, 0.99])
     @pytest.mark.parametrize("z", [0.9, 0.99])
     def test_q_below_1_tail_matches_mpmath(self, q, z):
-        # head plus closed tail against the raw series at 30 digits
+        # head plus totals times e^(-x{inf}) against the raw series at 30
+        # digits, summed until its terms fall below 1e-30 of the sums
         mpmath = pytest.importorskip("mpmath")
         series = BosonThetaSeries(z, q)
         with mpmath.workdps(30):
@@ -211,7 +229,8 @@ class TestKernelTruncation:
                 want = [mpmath.mpf(0)] * 4
                 zm = mpmath.mpf(1)
                 q2m = mpmath.mpf(1)
-                for m in range(len(series._m)):
+                m = 0
+                while m < 2 or t * m ** 3 >= 1e-30 * want[3]:
                     t = (m + 1) * zm * mpmath.exp(-xm * (1 - q2m) / (1 - qq * qq))
                     want[0] += t if m else 0
                     want[1] += t * m
@@ -219,6 +238,7 @@ class TestKernelTruncation:
                     want[3] += t * m ** 3
                     zm *= zq
                     q2m *= qq * qq
+                    m += 1
                 for g, v in zip(got, want):
                     assert g == pytest.approx(float(v), rel=1e-14, abs=0.0)
 
@@ -274,13 +294,15 @@ class TestArrayKernel:
 
     @pytest.mark.filterwarnings("error")
     def test_batch_with_x0_and_large_x(self):
-        # x = 0 widens the head of the batch to all K terms, whose brackets
-        # near 1e308 overflow x {m} to inf at x = 1000; e^(-inf) = 0 is right
-        series = BosonThetaSeries(0.9, 2.0)
+        # at q > 1, x = 0 widens the head of the batch to all K terms, whose
+        # brackets near 1e308 overflow x {m} to inf at x = 1000; e^(-inf) = 0
+        # is right.  At q < 1, x = 1000 has the widest head
         x = np.logspace(-12, 3, 60)
-        sums = series.excess_sums(np.concatenate(([0.0], x)))
-        np.testing.assert_array_equal(sums[0], _q1_sums(0.9))
-        assert sums[1:].tobytes() == series.excess_sums(x).tobytes()
+        for q in (0.5, 2.0):
+            series = BosonThetaSeries(0.9, q)
+            sums = series.excess_sums(np.concatenate(([0.0], x)))
+            np.testing.assert_array_equal(sums[0], _q1_sums(0.9))
+            assert sums[1:].tobytes() == series.excess_sums(x).tobytes()
 
     @pytest.mark.parametrize("spec,z", [
         (GasSpec("boson", 0.5, 3), 0.9),

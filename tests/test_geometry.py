@@ -92,6 +92,14 @@ class TestCurvatureClosedForm:
         r = curvature_closed_form(GasSpec("boson", 1.15, 2), 0.97)
         assert r.R_reduced == pytest.approx(pin, rel=1e-10)
 
+    def test_q_below_1_boson_near_edge(self):
+        # tests/mp_oracle.py gives -1.711569174725373942267048e-4 here.  R is
+        # small, so the rounding of the q < 1 series sums shows: the float64
+        # difference form reads 1.6e-13 off, while float64 tail sums formed
+        # as a total minus partial sums read 1.5e-12
+        r = curvature_closed_form(GasSpec("boson", 0.8, 3), 0.9)
+        assert r.R_reduced == pytest.approx(-1.711569174725373942267048e-4, rel=5e-13, abs=0.0)
+
     def test_result_carries_moments(self):
         spec = GasSpec("boson", 1.0, 3)
         r = curvature_closed_form(spec, 0.5)

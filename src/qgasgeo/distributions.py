@@ -51,12 +51,15 @@ _EXP_ZERO = 746.0
 # e^t rounds to exactly 1.0 for 0 <= t < 1e-17 (half an ulp of 1 is 1.1e-16).
 _SATURATED_INV = 1e17
 # An array of abscissae is evaluated in row blocks whose exponential matrix
-# holds at most this many elements (a batch near q = 1 can need 8,192 columns).
+# holds at most this many elements (a head near q = 1 can reach MAX_TERMS columns).
 _BLOCK = 2 ** 20
 
 
 class ConvergenceError(RuntimeError):
-    """Boson series failed to satisfy the truncation rule within MAX_TERMS."""
+    """Boson series would need more than MAX_TERMS terms.  Raised only just
+    off q = 1 (0.99962 < q < 1.00036, q != 1) near z = 1 (1 - z <= 3.8e-5),
+    where the head length K exceeds MAX_TERMS and the x = 0 series has not
+    converged within it."""
 
 
 def _q1_sums(w):
@@ -72,12 +75,7 @@ def _q1_sums(w):
 class BosonThetaSeries:
     """Reusable evaluator for F_k(x) = sum_m (m+1) m^k e^(-x{m}) z^m, k = 0..3.
 
-    The term count M is fixed once per (z, q) from the x = 0 worst case of
-    the heaviest series (k = 3): M doubles from 64 until the last term is
-    below SERIES_TOL times the full sum (the q = 1 closed form at w = z) and
-    the term ratio has fallen below 1.  Every x > 0 only damps the terms, so
-    M bounds the series at every abscissa.  Each abscissa then evaluates
-    only what it needs:
+    Each abscissa evaluates only the head of the series that it needs:
 
     * q > 1: {m} grows like q^(2m), so from
       k(x) = floor(log1p(746 (q^2 - 1) / x) / (2 ln q)) + 2 on every term has
@@ -91,9 +89,19 @@ class BosonThetaSeries:
       Every term is >= 0, so plain floats suffice.  From the k(x) where
       x g_m < 1e-17 on, a term is below 1e-17 of its share of
       e^(-x{inf}) T_k, so only the first k(x) are summed.
-    * q = 1: the closed forms of `_q1_sums` at w = z e^(-x).
+    * q = 1: the closed forms of `_q1_sums` at w = z e^(-x); no term is built.
 
-    No head is longer than K, so only the first min(K, M) terms are built.
+    K, the longest head of any abscissa, depends on q alone: past it
+    q^(2m) overflows at q > 1, and it is k(x) at the largest float x at
+    q < 1.  Where z is far from 1 a shorter count M suffices: from 64, M
+    doubles while it is below K until the last term of the heaviest series
+    (k = 3) at x = 0 is below SERIES_TOL times the full sum (the q = 1
+    closed form at w = z) and the term ratio has fallen below 1.  Every
+    x > 0 only damps the terms, so M bounds the series at every abscissa.
+    Only the first min(K, M) terms are built; `_m` is their range, empty
+    at q = 1.  M stops at MAX_TERMS, which only a K above it reaches
+    (0.99962 < q < 1.00036): ConvergenceError then guards the memory.
+
     An array of abscissae is evaluated in one pass: the terms of all rows
     are taken over the widest head of the batch (past a row's own k(x) they
     are 0.0 at q > 1 and negligible at q < 1), and one matrix product with
@@ -108,21 +116,8 @@ class BosonThetaSeries:
         self.q = q
         totals = _q1_sums(z)
         self._totals = np.array(totals)
-
-        def term3(m):
-            return (m + 1.0) * m ** 3 * z ** m
-
-        M = 64
-        while True:
-            last = term3(M - 1.0)
-            if last == 0.0 or (last < SERIES_TOL * totals[3] and last < term3(M - 2.0)):
-                break
-            if M >= MAX_TERMS:
-                raise ConvergenceError(
-                    f"boson series not converged within {MAX_TERMS} terms (z = {z}, q = {q})")
-            M = min(2 * M, MAX_TERMS)
-        self._m = range(M)
         if q == 1.0:
+            self._m = range(0)  # the closed forms read no terms
             return
         log_q2 = 2.0 * math.log(q)
         if q > 1.0:
@@ -139,13 +134,27 @@ class BosonThetaSeries:
             self._cut_rate = -1.0 / log_q2
             # the head is longest at the largest x
             K = int((LOG_MAX + self._cut_log) * self._cut_rate) + 2
-        K = self._k_max = min(K, M)
+
+        def term3(m):
+            return (m + 1.0) * m ** 3 * z ** m
+
+        M = 64
+        while M < K:
+            last = term3(M - 1.0)
+            if last == 0.0 or (last < SERIES_TOL * totals[3] and last < term3(M - 2.0)):
+                break
+            if M >= MAX_TERMS:
+                raise ConvergenceError(
+                    f"boson series not converged within {MAX_TERMS} terms (z = {z}, q = {q})")
+            M = min(2 * M, MAX_TERMS)
+        K = min(K, M)
+        self._m = range(K)
         m = np.arange(K, dtype=float)
         self._br = np.asarray(q_bracket(m, q))  # may end in inf for q > 1
         # row k of W holds the weights (m+1) m^k z^m
         W = np.ones((4, K))
         for k in range(1, 4):
-            np.multiply(W[k - 1], m, out=W[k])  # m^k, exact while m^3 < 2^53
+            np.multiply(W[k - 1], m, out=W[k])  # m^k; m^3 is rounded past m = 208,063
         W *= (m + 1.0) * z ** m
         W[0, 0] = 0.0  # the m = 0 term is 1 in F0, so F0 - 1 leaves it out
         self._weights = W.T.copy()
@@ -157,18 +166,18 @@ class BosonThetaSeries:
         """Head length k(x) at x >= 0 and q != 1 (see the class docstring).
 
         Takes a scalar (returns an int) or an array.  At x = 0 no term
-        vanishes: k(0) is K for q > 1 and 0 for q < 1, where the sums are
-        the totals T.
+        vanishes: k(0) is len(_m) for q > 1 and 0 for q < 1, where the sums
+        are the totals T.
         """
         xs = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
             if self.q > 1.0:
-                # 746 (q^2 - 1) / x may overflow to inf; the minimum then keeps K
+                # 746 (q^2 - 1) / x may overflow to inf; the minimum then keeps len(_m)
                 t = np.log1p(self._cut_scale / xs) * self._cut_rate
             else:
                 t = np.maximum((np.log(xs) + self._cut_log) * self._cut_rate, -2.0)
-        # min(int(min(t, K)) + 2, K) for t >= -2
-        k = np.minimum(t, self._k_max - 2).astype(int) + 2
+        # min(int(t) + 2, len(_m)) for t >= -2
+        k = np.minimum(t, len(self._m) - 2).astype(int) + 2
         return int(k) if k.ndim == 0 else k
 
     def excess_sums(self, x):
@@ -208,9 +217,9 @@ class BosonThetaSeries:
 
 
 def _abscissae(x):
-    """x as a 1-D float array, checked to be >= 0."""
+    """x as a 1-D float array, checked to be finite and >= 0."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1 or not (xs >= 0.0).all():
+    if xs.ndim != 1 or not ((xs >= 0.0) & (xs < math.inf)).all():
         raise DomainError(f"x must be a scalar or 1-D array of values >= 0, got {x!r}")
     return xs
 

@@ -14,6 +14,7 @@ from qgasgeo import (
     fermion_h_sums,
     q_bracket,
 )
+from qgasgeo.core import LOG_MAX
 from qgasgeo.distributions import SERIES_TOL, BosonThetaSeries, _q1_sums
 from qgasgeo.quadrature import _GK21_NODES
 
@@ -66,9 +67,11 @@ class TestBosonThetaSums:
 
     def test_nonconvergence_raises(self):
         # the k = 3 terms peak near m = 4 / (1 - z) = 4e5 and are still above
-        # SERIES_TOL of their sum at MAX_TERMS
-        with pytest.raises(ConvergenceError):
-            BosonThetaSeries(1.0 - 1e-5, 1.0)
+        # SERIES_TOL of their sum at MAX_TERMS, and so close to q = 1 the head
+        # length K (about 3.5e6 at q = 1.0001) does not stop the doubling first
+        for q in (1.0001, 0.9999):
+            with pytest.raises(ConvergenceError):
+                BosonThetaSeries(1.0 - 1e-5, q)
 
 
 class TestFermionHSums:
@@ -175,9 +178,8 @@ class TestKernelTruncation:
 
     @pytest.mark.parametrize("w", [1e-12, 1e-6, 0.01, 0.3, 0.9, 0.999])
     def test_q1_closed_form_matches_raw_series(self, w):
-        series = BosonThetaSeries(w, 1.0)
-        got = series.excess_sums(0.0)
-        want = _raw_excess_sums(w, 1.0, 0.0, len(series._m))
+        got = BosonThetaSeries(w, 1.0).excess_sums(0.0)
+        want = _raw_excess_sums(w, 1.0, 0.0, _doubling_rule_length(w))
         for g, v in zip(got, want):
             assert g == pytest.approx(v, rel=1e-14, abs=0.0)
         # and at x > 0, where w = z e^(-x)
@@ -260,8 +262,10 @@ class TestArrayKernel:
     @pytest.mark.parametrize("z", [1.0 - 10.0 ** (-3.0 + 0.2 * i) for i in range(11)]
                              + [10.0 ** (-8.0 + 0.25 * i) for i in range(25)])
     def test_series_length_matches_doubling_rule(self, z):
-        # each doubling computes only the new half; M must not change
-        assert len(BosonThetaSeries(z, 1.15)._m) == _doubling_rule_length(z)
+        # the terms built: the doubling rule's M, capped at K, past which
+        # q^(2m) overflows and no abscissa reads a term (K = 2,541 at q = 1.15)
+        K = int(LOG_MAX / (2.0 * math.log(1.15))) + 2
+        assert len(BosonThetaSeries(z, 1.15)._m) == min(K, _doubling_rule_length(z))
 
     @pytest.mark.parametrize("q", [0.5, 0.8, 1.0, 2.0])
     def test_no_array_of_series_length(self, q):
@@ -287,7 +291,7 @@ class TestArrayKernel:
         rows = np.array([series.excess_sums(float(v)) for v in x])
         # BLAS orders a many-row product differently from a one-row product;
         # all terms are positive, so both lie within K ulps of the exact sum
-        tol = series._k_max * np.finfo(float).eps
+        tol = len(series._m) * np.finfo(float).eps
         np.testing.assert_allclose(batch, rows, rtol=tol, atol=0.0)
         kernel = cumulant_kernel(GasSpec("boson", q, 2), 0.99)
         assert kernel(x).shape == (len(x), 4)
@@ -324,6 +328,15 @@ class TestArrayKernel:
         for bad in ([0.5, -1e-3], [math.nan]):
             with pytest.raises(DomainError):
                 kernel(np.array(bad))
+
+    @pytest.mark.parametrize("spec", [GasSpec("boson", q, 3) for q in (0.5, 1.0, 2.0)]
+                             + [GasSpec("fermion", 2.0, 3)],
+                             ids=["boson-0.5", "boson-1", "boson-2", "fermion-2"])
+    def test_rejects_infinite_abscissa(self, spec):
+        # x = inf gave NaN rows at q = 0.5 and 2, and zeros at q = 1 and for fermions
+        kernel = cumulant_kernel(spec, 0.5)
+        with pytest.raises(DomainError, match="x must be a scalar or 1-D array of values >= 0"):
+            kernel(np.array([0.5, np.inf]))
 
     @pytest.mark.parametrize("q", [1e150, 1e160, 1e300])
     def test_huge_q_keeps_two_terms(self, q):

@@ -42,28 +42,41 @@ class DomainError(ValueError):
 def _require_positive(value, name):
     """Raise DomainError unless value is a real number (not a bool), finite and > 0."""
     # float and int are Real; naming them first spares the slower ABC check
-    if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
-            or not (math.isfinite(value) and value > 0)):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))
+              and math.isfinite(value) and value > 0)
+    except OverflowError:  # an int beyond the double range
+        ok = False
+    if not ok:
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GasSpec:
-    """Which gas: statistics ('boson' or 'fermion'), deformation q > 0, dimension 2 or 3."""
+    """Which gas: statistics ('boson' or 'fermion'), deformation q > 0, dimension 2 or 3.
+
+    Validates its fields in `__init__` and raises DomainError for a bad one,
+    so `dataclasses.replace` validates too.
+    """
 
     statistics: str
     q: float
     dimension: int
 
-    def __post_init__(self):
-        if self.statistics not in (BOSON, FERMION):
-            raise DomainError(
-                f"statistics must be {BOSON!r} or {FERMION!r}, got {self.statistics!r}")
+    def __init__(self, statistics, q, dimension):
+        if statistics not in (BOSON, FERMION):
+            raise DomainError(f"statistics must be {BOSON!r} or {FERMION!r}, got {statistics!r}")
         # q = 0 would make the fermion exponent q^-2 infinite and degenerate
-        # the boson bracket, so it is excluded along with q < 0.
-        _require_positive(self.q, "deformation parameter q")
-        if self.dimension not in (2, 3):
-            raise DomainError(f"dimension must be 2 or 3, got {self.dimension!r}")
+        # the boson bracket, so it is excluded along with q < 0.  A plain
+        # float in (0, inf) needs no further check.
+        if type(q) is not float or not 0.0 < q < math.inf:
+            _require_positive(q, "deformation parameter q")
+        if dimension not in (2, 3):
+            raise DomainError(f"dimension must be 2 or 3, got {dimension!r}")
+        # as quadrature.MomentSet: the instance dict directly, not
+        # object.__setattr__; assignment after construction still raises
+        fields = self.__dict__
+        fields["statistics"], fields["q"], fields["dimension"] = statistics, q, dimension
 
     @property
     def nu(self):
@@ -116,8 +129,10 @@ def validate_domain(spec, z):
     is log-divergent for z >= 1, q > 1.  Raises DomainError naming the
     violated constraint.  beta is checked by the callers that take it.
     """
-    _require_positive(z, "fugacity z")
-    z = float(z)
+    # a plain float in (0, inf) needs no further check and no conversion
+    if type(z) is not float or not 0.0 < z < math.inf:
+        _require_positive(z, "fugacity z")
+        z = float(z)
     if spec.statistics == BOSON and z >= 1.0:
         raise DomainError(
             f"boson fugacity must satisfy z < 1 (series domain), got z = {z!r}")

@@ -21,11 +21,11 @@ metric components and their derivatives.  R > 0 is the boson-like regime
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require_positive, bisect
+from .core import GasSpec, _require_positive, bisect
 from .quadrature import MomentSet, moment_integrals
 
 __all__ = [
@@ -183,5 +183,6 @@ def curvature_sign_boundary(spec, z, q_lo, q_hi):
     None is returned, otherwise plain bisection tightens the bracket to
     |dq| < 1e-4.
     """
-    return bisect(lambda q: curvature_closed_form(replace(spec, q=q), z).R_reduced,
+    return bisect(lambda q: curvature_closed_form(GasSpec(spec.statistics, q, spec.dimension),
+                                                  z).R_reduced,
                   q_lo, q_hi, xtol=1e-4)

@@ -54,15 +54,15 @@ class TestCoefficients:
 
 class TestCoefficientMemo:
     """The series route keeps its weights once per gas value in
-    `quadrature._series_weights`; `cluster_coefficients` keeps nothing."""
+    `quadrature._series_weights`, keyed on the fields (statistics, q,
+    dimension); `cluster_coefficients` keeps nothing."""
 
     @pytest.mark.parametrize("stat,dim", GASES)
     def test_memo_is_bit_identical(self, stat, dim):
         for q in (1e-160, 1e-3, 0.5, 1.0, 1.15, 10.0, 1e3, 1e160):
-            spec = GasSpec(stat, q, dim)
-            quadrature._series_weights(spec)
-            fresh = quadrature._series_weights.__wrapped__(spec)
-            assert repr(quadrature._series_weights(spec)) == repr(fresh)
+            quadrature._series_weights(stat, q, dim)
+            fresh = quadrature._series_weights.__wrapped__(stat, q, dim)
+            assert repr(quadrature._series_weights(stat, q, dim)) == repr(fresh)
 
     def test_coefficients_are_fresh_and_writable(self):
         spec = GasSpec("boson", 1.15, 2)
@@ -74,17 +74,16 @@ class TestCoefficientMemo:
         assert second[0] != 0.0
 
     def test_keyed_by_spec_value(self):
-        same = [quadrature._series_weights(GasSpec("fermion", q, 3))
-                for q in (2, 2.0, np.float64(2.0))]
+        same = [quadrature._series_weights("fermion", q, 3) for q in (2, 2.0, np.float64(2.0))]
         assert same[1] is same[0] and same[2] is same[0]
-        one = quadrature._series_weights(GasSpec("fermion", 1.0, 3))
-        assert quadrature._series_weights(GasSpec("fermion", np.nextafter(1.0, 2.0), 3)) is not one
+        one = quadrature._series_weights("fermion", 1.0, 3)
+        assert quadrature._series_weights("fermion", np.nextafter(1.0, 2.0), 3) is not one
 
     def test_bounded(self):
         maxsize = quadrature._series_weights.cache_info().maxsize
         assert maxsize is not None
         for q in np.geomspace(0.5, 2.0, 1000):
-            quadrature._series_weights(GasSpec("boson", float(q), 3))
+            quadrature._series_weights("boson", float(q), 3)
         assert quadrature._series_weights.cache_info().currsize <= maxsize
 
 
@@ -198,7 +197,8 @@ class TestRouteBoundary:
         assert m.route == route
         assert tuple(m) == (m.a, m.b, m.c, m.d)
         for record, field in ((m, "a"), (m, "excess"), (m, "route"), (r, "R_reduced"),
-                              (r, "moments")):
+                              (r, "moments"), (m.spec, "statistics"), (m.spec, "q"),
+                              (m.spec, "dimension")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, field, None)
             with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,6 +1,8 @@
 """Domain types, the deformed bracket, and domain validation."""
 
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -144,6 +146,34 @@ class TestGasSpec:
         with pytest.raises(DomainError):
             GasSpec(**bad)
 
+    def test_keyword_and_positional_construction(self):
+        spec = GasSpec("fermion", 2.0, 3)
+        assert GasSpec(statistics="fermion", q=2.0, dimension=3) == spec
+        assert GasSpec("fermion", 2.0, dimension=3) == spec
+        assert (spec.statistics, spec.q, spec.dimension) == ("fermion", 2.0, 3)
+        with pytest.raises(TypeError):
+            GasSpec("fermion", 2.0)
+
+    def test_replace_validates(self):
+        spec = GasSpec("boson", 1.15, 2)
+        assert dataclasses.replace(spec, q=2.0) == GasSpec("boson", 2.0, 2)
+        with pytest.raises(DomainError, match="deformation parameter q"):
+            dataclasses.replace(spec, q=0.0)
+        with pytest.raises(DomainError, match="dimension"):
+            dataclasses.replace(spec, dimension=4)
+
+    def test_equal_values_hash_equal(self):
+        specs = [GasSpec("fermion", q, 3) for q in (2, 2.0, np.float64(2.0))]
+        assert specs[0] == specs[1] == specs[2]
+        assert len({hash(s) for s in specs}) == 1
+        assert len(set(specs)) == 1
+        assert GasSpec("fermion", 2.0, 3) != GasSpec("fermion", 2.0, 2)
+
+    def test_repr_and_pickle(self):
+        spec = GasSpec("boson", 1.15, 2)
+        assert repr(spec) == "GasSpec(statistics='boson', q=1.15, dimension=2)"
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
 
 class TestValidateDomain:
     def test_boson_inside(self):
@@ -174,12 +204,12 @@ class TestValidateDomain:
 
 @pytest.mark.parametrize("value,accepted", [
     (np.int64(2), True), (np.float32(1.5), True), (True, False), (math.nan, False),
-    ("0.5", False),
-], ids=["int64", "float32", "bool", "nan", "str"])
+    ("0.5", False), (10 ** 400, False),
+], ids=["int64", "float32", "bool", "nan", "str", "huge_int"])
 def test_positive_real_parameters(value, accepted):
     # q of q_bracket and GasSpec, the density of fugacity_from_density, the
     # fugacity z and beta share one check: any real number but a bool,
-    # finite and > 0
+    # finite and > 0; an int beyond the double range is not finite
     fermion = GasSpec("fermion", 1.0, 3)
     entries = (lambda v: q_bracket(1.0, v),
                lambda v: GasSpec("boson", v, 3),

@@ -64,7 +64,8 @@ class TestCoefficientValues:
 
 class TestDeformationDomain:
     @pytest.mark.parametrize("f", [g[0] for g in GASES], ids=GAS_IDS)
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True,
+                                     pytest.param(10 ** 400, id="huge_int")])
     def test_rejects_bad_q(self, f, bad):
         with pytest.raises(DomainError):
             f(bad)

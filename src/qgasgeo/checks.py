@@ -4,15 +4,13 @@ Each check takes no arguments and returns (ok, detail): the closed form
 against the determinant oracle, the q = 1 moments against polylogarithms,
 the closed-form virial roots against bisection and the q = 1 values, metric
 positivity, and the beta independence of the reduced curvature.  Every
-grid and tolerance is written once, here, next to the mpmath polylogarithm
-reference `polylog_reference_q1`.  `qgasgeo selfcheck` runs
-`CHECKS` in order; acceptance criteria 01, 02, 04, 08 and 09 call the same
-functions.  A NaN deviation fails its check.
+grid and tolerance is written once, here, next to the q = 1 polylogarithm
+values `POLYLOG_Q1`.  `qgasgeo selfcheck` runs `CHECKS` in order;
+acceptance criteria 01, 02, 04, 08 and 09 call the same functions.  A NaN
+deviation fails its check.
 """
 
-import mpmath
-
-from .core import BOSON, FERMION, GasSpec, bisect, validate_domain
+from .core import BOSON, FERMION, GasSpec, bisect
 from .geometry import curvature_closed_form, determinant_curvature_oracle, metric_tensor
 from .quadrature import moment_integrals
 from .virial import alpha, delta, eta, virial_threshold, zeta_fermion_d2
@@ -20,11 +18,11 @@ from .virial import alpha, delta, eta, virial_threshold, zeta_fermion_d2
 __all__ = [
     "CHECKS",
     "GRID_Q_Z",
+    "POLYLOG_Q1",
     "beta_independence",
     "metric_positivity",
     "oracle_agreement",
     "polylog_moments",
-    "polylog_reference_q1",
     "virial_thresholds",
 ]
 
@@ -32,6 +30,26 @@ __all__ = [
 GRID_Q_Z = {
     BOSON: ((0.5, 1.0, 1.15, 2.0), (0.1, 0.5, 0.9)),
     FERMION: ((0.5, 1.0, 10.0), (0.1, 1.0, 10.0)),
+}
+
+# (a, b, c, d) at q = 1, keyed (statistics, D, z): the moments are
+# polylogarithms, 2 Gamma(nu+1) Li_(nu+2-k)(z) for bosons and
+# -2 Gamma(nu+1) Li_(nu+2-k)(-z) for fermions, k = 0..3, nu = (D - 2) / 2.
+# Each is an mpmath value at 30 digits rounded once to a double;
+# tests/test_quadrature.py recomputes them.
+POLYLOG_Q1 = {
+    (BOSON, 3, 0.1): (0.18049825095890348, 0.183876936709499, 0.19089920003185548, 0.2057806386346604),
+    (BOSON, 3, 0.5): (0.9837070639049367, 1.1074947837405864, 1.4288224145751478, 2.387945102183389),
+    (BOSON, 3, 0.9): (2.0188302982125954, 2.8615177870076436, 7.128721523326246, 45.567070808249824),
+    (BOSON, 2, 0.1): (0.20523558219878227, 0.21072103131565262, 0.22222222222222224, 0.2469135802469136),
+    (BOSON, 2, 0.5): (1.164481052930025, 1.3862943611198906, 2.0, 4.0),
+    (BOSON, 2, 0.9): (2.5994294460099177, 4.605170185988092, 18.000000000000004, 180.00000000000009),
+    (FERMION, 3, 0.5): (0.8194014843078574, 0.7619554385909557, 0.6624585934939305, 0.5016271462632386),
+    (FERMION, 3, 2.0): (2.773857263757191, 2.271187594606319, 1.5797681090591766, 0.7754146856616027),
+    (FERMION, 3, 10.0): (9.019620376873617, 5.823723404591665, 2.815162108987595, 0.7109411171370521),
+    (FERMION, 2, 0.5): (0.8968284138472924, 0.8109302162163288, 0.6666666666666666, 0.4444444444444444),
+    (FERMION, 2, 2.0): (2.8734927337673617, 2.1972245773362196, 1.3333333333333333, 0.4444444444444444),
+    (FERMION, 2, 10.0): (8.396555773716207, 4.795790545596741, 1.8181818181818181, 0.1652892561983471),
 }
 
 # (statistics, D, q, z) of the beta-independence check
@@ -69,44 +87,13 @@ def oracle_agreement():
     return ok, f"max rel dev {worst:.3e} over {len(points)} grid points, tol {tol:g}"
 
 
-def polylog_reference_q1(spec, z):
-    """Undeformed-limit reference values (a, b, c, d) from polylogarithms.
-
-    At q = 1 the boson integrand is ln f = -2 ln(1 - z e^(-x)) and the
-    fermion one is ln h = 2 ln(1 + z e^(-x)), so each moment reduces to
-    a polylogarithm: a = 2 Gamma(nu+1) Li_(nu+2)(z) for bosons and
-    -2 Gamma(nu+1) Li_(nu+2)(-z) for fermions, with each theta lowering
-    the index by one.  Fermion arguments -z < -1 rely on the analytic
-    continuation; spurious imaginary round-off is stripped.
-    """
-    if spec.q != 1.0:
-        raise ValueError(f"polylog reference only applies at q = 1, got q = {spec.q}")
-    z = validate_domain(spec, z)
-    prefactor = 2.0 * float(mpmath.gamma(spec.nu + 1.0))
-    s_top = spec.nu + 2.0
-    sign = 1.0 if spec.statistics == BOSON else -1.0
-    arg = z if spec.statistics == BOSON else -z
-    out = []
-    for k in range(4):
-        v = mpmath.polylog(s_top - k, arg)
-        if isinstance(v, mpmath.mpc):
-            if abs(v.imag) > 1e-12 * max(1.0, abs(v.real)):
-                raise ArithmeticError(f"polylog returned complex value {v} at s = {s_top - k}")
-            v = v.real
-        out.append(sign * prefactor * float(v))
-    return tuple(out)
-
-
 def polylog_moments():
     """q = 1 moments vs polylogarithms, both statistics and dimensions, 1e-8 relative."""
     tol = 1e-8
     devs = []
-    for stat, zs in ((BOSON, (0.1, 0.5, 0.9)), (FERMION, (0.5, 2.0, 10.0))):
-        for dim in (3, 2):
-            for z in zs:
-                spec = GasSpec(stat, 1.0, dim)
-                want = polylog_reference_q1(spec, z)
-                devs += [abs(g - w) / abs(w) for g, w in zip(moment_integrals(spec, z), want)]
+    for (stat, dim, z), want in POLYLOG_Q1.items():
+        got = moment_integrals(GasSpec(stat, 1.0, dim), z)
+        devs += [abs(g - w) / abs(w) for g, w in zip(got, want)]
     ok, worst = _within(devs, tol)
     return ok, f"max rel dev {worst:.3e} over both statistics and dimensions, tol {tol:g}"
 

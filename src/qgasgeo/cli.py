@@ -24,7 +24,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .core import BOSON, FERMION, DomainError, GasSpec
 from .distributions import ConvergenceError
 from .geometry import DegenerateMetricError, curvature_closed_form
@@ -175,9 +175,6 @@ def _run_signtable(args, parser):
 
 
 def _run_selfcheck(args):
-    # imported here: checks loads mpmath, which no other command needs
-    from . import checks
-
     t0 = time.perf_counter()
     results = []
     for name, check in checks.CHECKS:

@@ -48,7 +48,11 @@ def _require_positive(value, name):
     except OverflowError:  # an int beyond the double range
         ok = False
     if not ok:
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        try:
+            shown = repr(value)
+        except ValueError:  # an int past the digit limit of int-to-str conversion
+            shown = "a number too long to print"
+        raise DomainError(f"{name} must be finite and > 0, got {shown}")
 
 
 @dataclass(frozen=True, init=False)

@@ -179,9 +179,14 @@ def curvature_sign_boundary(spec, z, q_lo, q_hi):
 
     spec gives the statistics and dimension; its q is not read, since the
     search varies q over the bracket.  Evaluates the closed-form curvature
-    at the bracket ends; if the signs agree there is no crossing to find and
-    None is returned, otherwise plain bisection tightens the bracket to
-    |dq| < 1e-4.
+    at the bracket ends; if the signs agree None is returned, otherwise
+    plain bisection tightens the bracket to |dq| < 1e-4.
+
+    The bracket is assumed to hold one crossing.  With an even number of
+    crossings the ends agree in sign and None is returned; with three or
+    more, one of them is.  Near q = 1 at the boson edge R changes sign
+    three times: for the D = 2 boson at z = 0.999, [0.95, 1.0] gives None
+    and [0.9, 1.1] gives 1.00283, one of three roots.
     """
     return bisect(lambda q: curvature_closed_form(GasSpec(spec.statistics, q, spec.dimension),
                                                   z).R_reduced,

@@ -22,9 +22,9 @@ Error check.  The trapezoid error falls like exp(-c/h), so halving h roughly
 squares it.  The step starts at h = 1/4 and is halved until two levels agree
 to 10^-(DIGITS/2 + 1) in all four moments, and the finer level is returned.
 Its error is then near 10^-(DIGITS + 2).  At q = 1 this is checked against
-mpmath.polylog, where the moments are known in closed form.  The boson
+`polylog_moments`, where the moments are known in closed form.  The boson
 series is cut per abscissa once a geometric bound on the rest is below
-2^-(working precision) of every partial sum (see `_boson_sums`).
+2^-(working precision) of every partial sum (see `boson_sums`).
 
 Arithmetic.  The boson series is summed in fixed point: Python integers
 scaled by 2^prec, GUARD_BITS bits beyond the working precision, which is how
@@ -72,7 +72,7 @@ def _from_fixed(n, prec):
     return mpmath.ldexp(mpf(n), -prec)
 
 
-def _boson_sums(x, z, q2, prec):
+def boson_sums(x, z, q2, prec):
     """(F0 - 1, F1, F2, F3) at abscissa x, F_k = sum_m (m+1) m^k z^m e^(-x{m}).
 
     g_m = z^m e^(-x{m}) follows g_(m+1) = g_m z e^(-x q^(2m)), since
@@ -114,6 +114,22 @@ def _boson_sums(x, z, q2, prec):
     return [_from_fixed(s, prec) for s in (s0 - one, s1, s2, s3)]
 
 
+def polylog_moments(statistics, dimension, z):
+    """(a, b, c, d) at q = 1 as mpf, from polylogarithms.
+
+    At q = 1 the boson F is (1 - z e^(-x))^(-2) and the fermion F is
+    (1 + z e^(-x))^2, so a = 2 Gamma(nu+1) Li_(nu+2)(z) for bosons and
+    -2 Gamma(nu+1) Li_(nu+2)(-z) for fermions, and each theta lowers the
+    index by one.  Past z = 1 mpmath may return Li_s(-z) with a round-off
+    imaginary part, so the real part is taken.
+    """
+    with mp.workdps(DIGITS + 8):
+        nu = mpf(dimension - 2) / 2
+        sign, arg = (1, mpf(z)) if statistics == BOSON else (-1, -mpf(z))
+        return [sign * 2 * mpmath.gamma(nu + 1) * mpmath.re(mpmath.polylog(nu + 2 - k, arg))
+                for k in range(4)]
+
+
 def _fermion_sums(x, z, q2):
     """(F0 - 1, F1, F2, F3) of the closed form: theta^k brings down m^k on z^m."""
     u = 2 * z * mpmath.exp(-x)
@@ -144,7 +160,7 @@ def moments(statistics, dimension, q, z):
             # s is a multiple of 1/2^n, so it is exact as a float and a key
             if s not in cache:
                 x = mpmath.exp(-mpf(s))
-                sums = (_boson_sums(x, z, q2, prec) if statistics == BOSON
+                sums = (boson_sums(x, z, q2, prec) if statistics == BOSON
                         else _fermion_sums(x, z, q2))
                 w = mpmath.exp(-p * s)
                 cache[s] = [w * L for L in _cumulants(*sums)]

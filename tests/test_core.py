@@ -204,12 +204,14 @@ class TestValidateDomain:
 
 @pytest.mark.parametrize("value,accepted", [
     (np.int64(2), True), (np.float32(1.5), True), (True, False), (math.nan, False),
-    ("0.5", False), (10 ** 400, False),
-], ids=["int64", "float32", "bool", "nan", "str", "huge_int"])
+    ("0.5", False), (10 ** 400, False), (10 ** 5000, False), (-10 ** 5000, False),
+], ids=["int64", "float32", "bool", "nan", "str", "huge_int", "unprintable_int",
+        "unprintable_negative_int"])
 def test_positive_real_parameters(value, accepted):
     # q of q_bracket and GasSpec, the density of fugacity_from_density, the
     # fugacity z and beta share one check: any real number but a bool,
-    # finite and > 0; an int beyond the double range is not finite
+    # finite and > 0; an int beyond the double range is not finite, and one
+    # too long for repr still raises DomainError
     fermion = GasSpec("fermion", 1.0, 3)
     entries = (lambda v: q_bracket(1.0, v),
                lambda v: GasSpec("boson", v, 3),

@@ -3,8 +3,10 @@
 import math
 import tracemalloc
 
+import mp_oracle
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from qgasgeo import (
     ConvergenceError,
@@ -219,29 +221,14 @@ class TestKernelTruncation:
     @pytest.mark.parametrize("q", [0.5, 0.8, 0.99])
     @pytest.mark.parametrize("z", [0.9, 0.99])
     def test_q_below_1_tail_matches_mpmath(self, q, z):
-        # head plus totals times e^(-x{inf}) against the raw series at 30
-        # digits, summed until its terms fall below 1e-30 of the sums
-        mpmath = pytest.importorskip("mpmath")
+        # head plus totals times e^(-x{inf}) against the oracle's raw series
+        # at 30 digits
         series = BosonThetaSeries(z, q)
-        with mpmath.workdps(30):
-            zq, qq = mpmath.mpf(z), mpmath.mpf(q)
+        with mp.workdps(30):
             for x in (1e-6, 0.01, 1.0, 30.0):
-                got = series.excess_sums(x)
-                xm = mpmath.mpf(x)
-                want = [mpmath.mpf(0)] * 4
-                zm = mpmath.mpf(1)
-                q2m = mpmath.mpf(1)
-                m = 0
-                while m < 2 or t * m ** 3 >= 1e-30 * want[3]:
-                    t = (m + 1) * zm * mpmath.exp(-xm * (1 - q2m) / (1 - qq * qq))
-                    want[0] += t if m else 0
-                    want[1] += t * m
-                    want[2] += t * m * m
-                    want[3] += t * m ** 3
-                    zm *= zq
-                    q2m *= qq * qq
-                    m += 1
-                for g, v in zip(got, want):
+                want = mp_oracle.boson_sums(mpf(x), mpf(z), mpf(q) ** 2,
+                                            mp.prec + mp_oracle.GUARD_BITS)
+                for g, v in zip(series.excess_sums(x), want):
                     assert g == pytest.approx(float(v), rel=1e-14, abs=0.0)
 
 

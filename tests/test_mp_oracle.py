@@ -6,20 +6,10 @@ second virial coefficient eta(q) as z -> 0.
 """
 
 import mp_oracle
-import mpmath
 import pytest
 from mpmath import mp, mpf
 
 from qgasgeo import eta
-
-
-def _polylog_moments(statistics, dimension, z):
-    # at q = 1, a = 2 Gamma(nu+1) Li_(nu+2)(z) for bosons and
-    # -2 Gamma(nu+1) Li_(nu+2)(-z) for fermions; each theta lowers the index by one
-    nu = mpf(dimension - 2) / 2
-    sign, arg = (1, mpf(z)) if statistics == "boson" else (-1, -mpf(z))
-    return [sign * 2 * mpmath.gamma(nu + 1) * mpmath.re(mpmath.polylog(nu + 2 - k, arg))
-            for k in range(4)]
 
 
 @pytest.mark.parametrize("statistics, dimension, z", [
@@ -28,7 +18,7 @@ def _polylog_moments(statistics, dimension, z):
 ])
 def test_matches_polylog_at_q1(statistics, dimension, z):
     with mp.workdps(40):
-        want = _polylog_moments(statistics, dimension, z)
+        want = mp_oracle.polylog_moments(statistics, dimension, z)
         got = mp_oracle.moments(statistics, dimension, 1.0, z)
         assert max(abs(g - w) / abs(w) for g, w in zip(got, want)) < 1e-20
         # N cancels, so R is checked on its own

@@ -3,16 +3,17 @@
 import itertools
 import math
 
+import mp_oracle
 import numpy as np
 import pytest
 
 from qgasgeo import (
     GasSpec,
     ToleranceError,
+    checks,
     moment_integrals,
     quadrature,
 )
-from qgasgeo.checks import polylog_reference_q1
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -32,9 +33,11 @@ class TestPolylogOracle:
         assert m.a == pytest.approx(8.3965557737162077158, rel=1e-10)
         assert m.d == pytest.approx(20.0 / 121.0, rel=1e-10)
 
-    def test_reference_rejects_deformed_spec(self):
-        with pytest.raises(ValueError):
-            polylog_reference_q1(GasSpec("boson", 2.0, 3), 0.5)
+    def test_selfcheck_table_is_the_rounded_polylogs(self):
+        # each of the 48 values the selfcheck compares with is the
+        # polylogarithm at 30 digits rounded once to a double
+        for (stat, dim, z), row in checks.POLYLOG_Q1.items():
+            assert [float(v) for v in mp_oracle.polylog_moments(stat, dim, z)] == list(row)
 
 
 class TestSmallZTermwise:
@@ -80,7 +83,7 @@ class TestMomentStructure:
         # the reported error estimate covers the distance to the polylogarithms
         spec = GasSpec(stat, 1.0, dim)
         m = moment_integrals(spec, z)
-        for got, want in zip(m, polylog_reference_q1(spec, z)):
+        for got, want in zip(m, mp_oracle.polylog_moments(stat, dim, z)):
             assert abs(got - want) <= m.est_error
 
     def test_est_error_is_small(self):

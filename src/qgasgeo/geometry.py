@@ -2,9 +2,9 @@
 
 With coordinates beta^1 = beta and beta^2 = gamma = -beta mu, the metric is
 the Hessian g_ab = d^2 ln Z / dbeta^a dbeta^b.  Both statistics share the
-structure ln Z = K beta^(-p) a(gamma) with p = D/2 and K = 2 V / sqrt(pi)
-for D = 3, K = A for D = 2 (the volume V or area A is 1 in reduced units),
-so the components reduce to the theta-moment integrals:
+structure ln Z = K beta^(-p) a(gamma) with p = D/2 and K = 1 / Gamma(p) (the
+volume or area is 1 in reduced units), so the components reduce to the
+theta-moment integrals:
 
     g11 = p (p+1) K beta^(-p-2) a
     g12 = p K beta^(-p-1) b
@@ -14,18 +14,19 @@ The scalar curvature in reduced units lambda^D / volume depends only on
 (z, q, D).  It is reported in one normalization, twice the plain scalar
 curvature of g (the two-component counting convention the model's published
 curves use).  Two independent evaluations are provided, both in that
-normalization: the closed form in the moments (numerator
-N = b^2 c + a b d - 2 a c^2) and a determinant oracle built directly from the
-metric components and their derivatives.  R > 0 is the boson-like regime
+normalization: the closed form in the moments, formed in
+`curvature_from_moments` alone, and a determinant oracle built directly from
+the metric components and their derivatives.  R > 0 is the boson-like regime
 (effective statistical attraction), R < 0 fermion-like.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GasSpec, _require_positive, bisect
+from .core import DomainError, GasSpec, _require_positive, bisect
 from .quadrature import MomentSet, moment_integrals
 
 __all__ = [
@@ -39,10 +40,13 @@ __all__ = [
     "metric_tensor",
 ]
 
-SQRT_PI = math.sqrt(math.pi)
-
+# (p + 1) Gamma(p) by dimension, written out: the product is an ulp off at D = 3
+_PREFACTOR = {2: 2.0, 3: 1.25 * math.sqrt(math.pi)}
+# 2^-511: below it z^2, the order of the series excesses, is subnormal
+_Z_MIN = math.sqrt(sys.float_info.min)
 # Denominators below this magnitude signal a degenerate metric, which the
-# model does not produce anywhere in its physical domain.
+# model does not produce anywhere in its physical domain: the closed form
+# rescales tiny moments before it forms its denominator.
 _DEGENERATE_FLOOR = 1e-300
 
 
@@ -84,52 +88,89 @@ def _components(spec, beta, abc):
     """
     a, b, c = abc
     p = spec.p
-    K = 2.0 / SQRT_PI if spec.dimension == 3 else 1.0
+    K = 1.0 / math.gamma(p)
     g11 = p * (p + 1.0) * K * beta ** (-p - 2.0) * a
     g12 = p * K * beta ** (-p - 1.0) * b
     g22 = K * beta ** (-p) * c
     return g11, g12, g22
 
 
+def _require_beta(spec, beta):
+    """beta as a float; DomainError unless it is finite, > 0 and beta^-(2p+2),
+    the scale of det g, is a normal float."""
+    _require_positive(beta, "beta")
+    if (2.0 * spec.p + 2.0) * abs(math.log(beta)) > -math.log(sys.float_info.min):
+        raise DomainError(f"beta = {beta!r}: beta^-{2.0 * spec.p + 2.0:g} is not a normal float")
+    return float(beta)
+
+
 def metric_tensor(spec, beta, z):
     """Metric components at (beta, z) from the theta moments.
 
     All moments are positive, so g12 > 0 in this sign convention.  Raises
-    DomainError unless beta is finite and > 0 and z is in the domain.
+    DomainError unless z is in the domain, beta is finite, > 0 and
+    beta^-(2p+2), the scale of det g, a normal float (1.2e-77 to 8.2e76 at
+    D = 2, 2.9e-62 to 3.4e61 at D = 3); near those ends `det` can still
+    leave the normal range by the factor of the moments.
     """
-    _require_positive(beta, "beta")
+    beta = _require_beta(spec, beta)
     m = moment_integrals(spec, z)
-    g11, g12, g22 = _components(spec, float(beta), (m.a, m.b, m.c))
+    g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
     return MetricTensor(g11=g11, g12=g12, g22=g22)
 
 
 def curvature_from_moments(moments):
     """Closed-form reduced curvature from an existing MomentSet (of moments.spec).
 
-    R = 5 sqrt(pi) N / (5ac - 3b^2)^2 for D = 3 and 2 N / (2ac - b^2)^2 for
-    D = 2, with N = b^2 c + a b d - 2 a c^2 taken from `MomentSet.numerator`,
-    which forms it as suits the route of the moments.
+    R = (p + 1) Gamma(p) N / ((p + 1) a c - p b^2)^2 with p = D/2 and
+    N = b^2 c + a b d - 2 a c^2.
+
+    Series moments carry the excesses eb = b - a, ec = c - a, ed = d - a,
+    and N = a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2)
+    + eb^2 ec there: its a^3 terms cancel symbolically, not in the rounding
+    of a^3 against an N of order z^4.  Quadrature moments use N as written:
+    at large z each excess is about -a, and the excess form lost 3e-4 for a
+    fermion at z = 1e80.
+
+    N and the squared denominator (order z^4) underflow from z ~ 1e-77, so
+    below a = 2^-200 the moments are scaled exactly by the 2^k that brings a
+    to [0.5, 1), and R (of degree -1) by 2^k.  DomainError there unless
+    z > 2^-511 and each excess is a normal float; DegenerateMetricError if
+    the denominator vanishes.
     """
-    a, b, c = moments.a, moments.b, moments.c
-    if moments.spec.dimension == 3:
-        denom = 5.0 * a * c - 3.0 * b * b
-        scale = 5.0 * SQRT_PI
+    a, b, c, d, excess = moments.a, moments.b, moments.c, moments.d, moments.excess
+    spec = moments.spec
+    k = 0
+    if a < 2.0 ** -200:
+        if moments.z <= _Z_MIN or excess and min(map(abs, excess)) < sys.float_info.min:
+            raise DomainError(f"R needs z > {_Z_MIN:.4g} (2^-511) and normal series "
+                              f"excesses; got z = {moments.z!r}, {excess} for {spec}")
+        k = -math.frexp(a)[1]
+        a, b, c, d = (math.ldexp(m, k) for m in (a, b, c, d))
+        excess = excess and tuple(math.ldexp(e, k) for e in excess)
+    if excess is None:
+        numerator = b * b * c + a * b * d - 2.0 * a * c * c
     else:
-        denom = 2.0 * a * c - b * b
-        scale = 2.0
+        eb, ec, ed = excess
+        numerator = (a * a * (3.0 * eb - 3.0 * ec + ed)
+                     + a * (eb * eb + 2.0 * eb * ec + eb * ed - 2.0 * ec * ec) + eb * eb * ec)
+    p = spec.p
+    denom = (p + 1.0) * a * c - p * b * b
     if abs(denom) < _DEGENERATE_FLOOR:
         raise DegenerateMetricError(
-            f"metric denominator {denom!r} below {_DEGENERATE_FLOOR} for {moments.spec} "
+            f"metric denominator {denom!r} below {_DEGENERATE_FLOOR} for {spec} "
             f"at z = {moments.z}")
-    return CurvatureResult(scale * moments.numerator / (denom * denom), moments)
+    R = _PREFACTOR[spec.dimension] * numerator / (denom * denom)
+    return CurvatureResult(math.ldexp(R, k) if k else R, moments)
 
 
 def curvature_closed_form(spec, z):
     """Reduced scalar curvature at fugacity z via the closed form.
 
-    R = 5 sqrt(pi) N / (5ac - 3b^2)^2 for D = 3 and 2 N / (2ac - b^2)^2 for
-    D = 2, N = b^2 c + a b d - 2 a c^2, twice the plain scalar curvature of g.
-    Units are lambda^D / volume, so beta drops out.
+    R = (p + 1) Gamma(p) N / ((p + 1) a c - p b^2)^2, N = b^2 c + a b d - 2 a c^2,
+    p = D/2, twice the plain scalar curvature of g (`curvature_from_moments`).
+    Units are lambda^D / volume, so beta drops out.  Raises DomainError
+    outside the physical domain and at z <= 2^-511 (1.49e-154).
     """
     return curvature_from_moments(moment_integrals(spec, z))
 
@@ -150,10 +191,10 @@ def determinant_curvature_oracle(spec, beta, z):
     da/dgamma = -b, db/dgamma = -c, dc/dgamma = -d.
 
     The reduced result (units lambda^D / volume) is independent of beta.
-    Raises DomainError unless beta is finite and > 0 and z is in the domain.
+    Raises DomainError unless z and beta are in the domain of `metric_tensor`
+    and (det g)^2, of scale beta^-(4p+4), is a normal float.
     """
-    _require_positive(beta, "beta")
-    beta = float(beta)
+    beta = _require_beta(spec, beta)
     p = spec.p
     m = moment_integrals(spec, z)
     g11, g12, g22 = _components(spec, beta, (m.a, m.b, m.c))
@@ -163,15 +204,18 @@ def determinant_curvature_oracle(spec, beta, z):
     db_g22 = -p / beta * g22
     dg_g11, dg_g12, dg_g22 = _components(spec, beta, (-m.b, -m.c, -m.d))
     det_g = g11 * g22 - g12 * g12
+    det_g2 = det_g * det_g
+    if not sys.float_info.min <= det_g2 < math.inf:
+        raise DomainError(f"(det g)^2 = {det_g2!r} is not a normal float at beta = {beta!r}")
     if det_g < _DEGENERATE_FLOOR:
         raise DegenerateMetricError(f"det g = {det_g!r} not positive for {spec} at z = {m.z}")
     M = np.array([[g11, g22, g12],
                   [db_g11, db_g22, db_g12],
                   [dg_g11, dg_g22, dg_g12]])
-    R = float(np.linalg.det(M)) / (det_g * det_g)
-    # convert to units lambda^D / volume with lambda^D = beta^(D/2) and
-    # volume 1; all beta dependence cancels
-    return R / beta ** (spec.dimension / 2.0)
+    R = float(np.linalg.det(M)) / det_g2
+    # convert to units lambda^D / volume with lambda^D = beta^p and volume 1;
+    # all beta dependence cancels
+    return R / beta ** p
 
 
 def curvature_sign_boundary(spec, z, q_lo, q_hi):

@@ -16,10 +16,11 @@ Where the first order of the moments, 2 Gamma(D/2) z, is below
 ABS_TOL / REL_TOL, the absolute tolerance would bind, so `moment_integrals`
 sums the cluster expansion of `distributions.cluster_coefficients` instead;
 it falls back to the quadrature if the first omitted order is not below
-2^-56 of a.  The coefficients A_n depend on the gas alone: `_series_weights`
-computes them once per (statistics, q, D) and keeps them, with the weights
-n^k - 1 of the excesses folded in, as tuples of floats shared by every z;
-it is the route's one memo.  A series point then costs the domain check,
+2^-56 of a.  It sums a and the excesses b - a, c - a, d - a, from which
+`geometry.curvature_from_moments` forms the curvature.  The coefficients A_n
+depend on the gas alone: `_series_weights` computes them once per
+(statistics, q, D) and keeps them, with the weights n^k - 1 of the excesses
+folded in, as tuples of floats shared by every z; it is the route's one memo.  A series point then costs the domain check,
 four Horner sums over ten orders in plain floats and the two immutable
 records: about 4 us for a whole `curvature_closed_form` call, and 0.4 us
 more to build its `GasSpec`, on a 2-vCPU x86-64 container (timeit).
@@ -121,8 +122,8 @@ class MomentSet:
     are 0 on the series route and when not recorded.  excess holds
     (b - a, c - a, d - a) on the series route, summed without forming b, c,
     d, and is None on the quadrature route, whose moments give no more
-    accurate excesses than their float differences.  `numerator` is the
-    curvature numerator N in the form that suits the route.
+    accurate excesses than their float differences.  Data only:
+    `geometry.curvature_from_moments` forms R from it.
     """
 
     a: float
@@ -151,27 +152,6 @@ class MomentSet:
     def __iter__(self):
         # unpack as a, b, c, d
         return iter((self.a, self.b, self.c, self.d))
-
-    @property
-    def numerator(self):
-        """N = b^2 c + a b d - 2 a c^2, the numerator of the curvature.
-
-        Where the moments carry their excesses eb = b - a, ec = c - a,
-        ed = d - a (the series route, z < 5.6e-3), N is formed as
-        a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2) + eb^2 ec:
-        the a^3 terms of N cancel there symbolically, where in floating point
-        they would leave the rounding of a^3 against an N of order z^4.
-        Quadrature moments use N as written.  At large z the excesses are each
-        about -a, so the excess form would add three terms of order a^3 that
-        cancel to an N of order a^3 / ln(z)^6 (a fermion at z = 1e80 lost
-        3e-4 that way).
-        """
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if self.excess is None:
-            return b * b * c + a * b * d - 2.0 * a * c * c
-        eb, ec, ed = self.excess
-        return (a * a * (3.0 * eb - 3.0 * ec + ed)
-                + a * (eb * eb + 2.0 * eb * ec + eb * ed - 2.0 * ec * ec) + eb * eb * ec)
 
 
 class QuadInfo(NamedTuple):

@@ -16,11 +16,14 @@ at fixed density (fermion-like pressure enhancement), a negative one is
 boson-like; the curvature agrees, R -> -(1 + D/2) B (paper normalization)
 as z -> 0.  B vanishes at Lambda* = (c 2^(D/2 - 1))^(2/D), which is a
 deformation q* = sqrt(Lambda* - 1) for bosons and (Lambda* - 1)^(-1/2) for
-fermions; the D=2 fermion has Lambda* = 1 and so no root, zeta > 0 for every q.
+fermions; the D=2 fermion has Lambda* = 1 and so no root, zeta > 0 for every q
+(up to 2.8e161, where zeta underflows).
 `virial_threshold` returns q* from this closed form, evaluated once per gas
 when the module loads, so a call is a table lookup; `checks.virial_thresholds`
 cross-checks it against a numerical bisection of B(q).
 """
+
+import math
 
 from .core import BOSON, FERMION, _require_positive
 
@@ -58,6 +61,8 @@ def _second_virial(statistics, dimension):
         t = 1.0 / float(q) if inverse else float(q)
         # t * t overflows to inf for t > 1.3e154, and inf ** -p is 0.0; as a
         # Python float, not a numpy scalar, t overflows without a warning
+        if ideal == c:  # D = 2 fermion: no difference to cancel to 0.0 at large q
+            return -0.25 * c * math.expm1(-p * math.log1p(t * t))
         return 0.25 * (ideal - c * (1.0 + t * t) ** -p)
 
     return coefficient

@@ -88,6 +88,18 @@ class TestCurvatureSweeps:
         assert bad["R_reduced"] == ""
         assert bad["error"].startswith("DomainError: fermion fugacity must satisfy z <= 4.74e+153")
 
+    def test_tiny_fugacity_rows(self, tmp_path):
+        # z = 1e-100 used to end the sweep in a ZeroDivisionError traceback;
+        # below z = 2^-511 the row names the limit
+        out = tmp_path / "r.csv"
+        rc = main(["curvature-z", "--q", "1.15", "--z", "1e-100,1e-300", "--out", str(out)])
+        assert rc == 0
+        good, bad = read_csv(out)
+        assert good["error"] == ""
+        assert math.isfinite(float(good["R_reduced"]))
+        assert bad["R_reduced"] == ""
+        assert bad["error"].startswith("DomainError: R needs z > 1.492e-154")
+
     def test_all_points_invalid_exit_2(self, tmp_path):
         out = tmp_path / "r.csv"
         rc = main(["curvature-z", "--stat", "boson", "--q", "1",

@@ -1,6 +1,7 @@
 """Metric structure, curvature closed form vs determinant oracle, sign boundaries."""
 
 import math
+import sys
 
 import mp_oracle
 import pytest
@@ -56,6 +57,39 @@ class TestMetricTensor:
         with pytest.raises(DomainError, match="beta"):
             determinant_curvature_oracle(spec, beta, 0.5)
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_beta_range(self, dimension):
+        # det g ~ beta^-(2p+2): metric_tensor takes beta where that is a normal
+        # float (it raised OverflowError below beta ~ 1e-103 at D = 2 and read
+        # det = 0.0 from 1e100 on).  The oracle also needs (det g)^2, of scale
+        # beta^-(4p+4), to be normal; it was 100% off at beta = 1e-40, D = 2.
+        spec = GasSpec("boson", 1.15, dimension)
+        p = spec.p
+        bound = math.exp(-math.log(sys.float_info.min) / (2.0 * p + 2.0))
+        inside = (1.01 / bound, bound / 1.01)
+        unit = metric_tensor(spec, 1.0, 0.5)
+        for beta in inside + (1e-50, 1e50):
+            g = metric_tensor(spec, beta, 0.5)
+            assert g.g11 == pytest.approx(unit.g11 * beta ** (-p - 2.0), rel=1e-13)
+            assert g.g12 == pytest.approx(unit.g12 * beta ** (-p - 1.0), rel=1e-13)
+            assert g.g22 == pytest.approx(unit.g22 * beta ** -p, rel=1e-13)
+            with pytest.raises(DomainError, match=r"\(det g\)\^2 = .* is not a normal float"):
+                determinant_curvature_oracle(spec, beta, 0.5)
+        for beta in (1.0 / bound / 1.01, bound * 1.01, 1e-200, 1e200):
+            for f in (metric_tensor, determinant_curvature_oracle):
+                with pytest.raises(DomainError, match=r"beta\^-"):
+                    f(spec, beta, 0.5)
+        ref = determinant_curvature_oracle(spec, 1.0, 0.5)
+        for beta in (1e-30, 1e30):
+            assert determinant_curvature_oracle(spec, beta, 0.5) == pytest.approx(ref, rel=1e-12)
+
+    def test_oracle_det_g_squared_overflow(self):
+        # the moments of a fermion at z = 1e150 are of order 1e5, so (det g)^2
+        # overflows inside the beta range; the oracle read 0.0 here (100% off)
+        spec = GasSpec("fermion", 1.15, 3)
+        with pytest.raises(DomainError, match="not a normal float"):
+            determinant_curvature_oracle(spec, math.exp(-70.0), 1e150)
+
     def test_det_bracket_identity(self):
         # det g = p K^2 beta^(-2p-2) [(p+1) a c - p b^2]
         spec = GasSpec("boson", 1.3, 3)
@@ -106,6 +140,32 @@ class TestCurvatureClosedForm:
         r = curvature_closed_form(spec, 0.5)
         assert isinstance(r.moments, MomentSet)
         assert r.moments.z == 0.5
+
+
+class TestTinyFugacity:
+    """N and den^2 underflow from z ~ 1e-77 on; the closed form rescales."""
+
+    @pytest.mark.parametrize("spec, z", [(GasSpec("boson", 1.15, 3), 1e-3),
+                                         (GasSpec("fermion", 2.0, 2), 0.5)])
+    @pytest.mark.parametrize("k", [-900, -600, -300, 0])
+    def test_power_of_two_scaling_is_exact(self, spec, z, k):
+        # R has degree -1 in the moments, and the rescale is exact
+        m = moment_integrals(spec, z)
+        assert m.route == ("series" if z < 5e-3 else "quadrature")
+        excess = None if m.excess is None else tuple(math.ldexp(e, k) for e in m.excess)
+        scaled = MomentSet(*(math.ldexp(v, k) for v in m), m.est_error, spec, z,
+                           route=m.route, excess=excess)
+        r = curvature_from_moments(m).R_reduced
+        assert curvature_from_moments(scaled).R_reduced == math.ldexp(r, -k)
+
+    def test_subnormal_excess_raises(self):
+        # the D = 2 fermion at q = 1000 has a z^2 coefficient of -1e-6, so its
+        # smallest excess is subnormal from z ~ 1.5e-151 on
+        spec = GasSpec("fermion", 1000.0, 2)
+        assert curvature_closed_form(spec, 2e-151).R_reduced == pytest.approx(
+            -2.0 * 0.25 / (1.0 + 1e6), rel=1e-14)
+        with pytest.raises(DomainError, match="normal series excesses"):
+            curvature_closed_form(spec, 1e-151)
 
 
 class TestGammaLadder:

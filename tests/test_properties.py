@@ -4,7 +4,8 @@ q is drawn log-uniform in [1e-3, 1e3]; z in [1e-6, 1 - 1e-3] for bosons and
 log-uniform in [1e-6, 1e6] for fermions.  At every drawn point R is finite
 or one of the documented exceptions is raised; where R is returned, det g > 0
 and the closed form agrees with the determinant oracle to the 1e-5 of
-`qgasgeo.checks`.
+`qgasgeo.checks`.  At log10 z in [-150, -20], R is its z -> 0 limit
+-(1 + D/2) B(q); at z <= 2^-511 it raises DomainError.
 """
 
 import math
@@ -20,29 +21,45 @@ from qgasgeo import (  # noqa: E402
     DomainError,
     GasSpec,
     ToleranceError,
+    alpha,
     curvature_closed_form,
+    delta,
     determinant_curvature_oracle,
+    eta,
     metric_tensor,
+    zeta_fermion_d2,
 )
 
 _LOG10_Q = st.floats(min_value=-3.0, max_value=3.0)
 _BOSON_Z = st.floats(min_value=1e-6, max_value=1.0 - 1e-3)
 _FERMION_Z = st.floats(min_value=-6.0, max_value=6.0).map(lambda u: 10.0 ** u)
+_DILUTE_Z = st.floats(min_value=-150.0, max_value=-20.0).map(lambda u: 10.0 ** u)
+# z at or below 2^-511, down to the smallest subnormal
+_Z_LIMIT = 2.0 ** -511
+_BELOW_LIMIT_Z = st.floats(min_value=-1074.0, max_value=-511.0).map(lambda u: 2.0 ** u)
+# second virial coefficient B(q) of each (statistics, D)
+_B = {("fermion", 3): alpha, ("boson", 3): delta, ("boson", 2): eta, ("fermion", 2): zeta_fermion_d2}
+
+
+@st.composite
+def _specs(draw):
+    statistics = draw(st.sampled_from(("boson", "fermion")))
+    dimension = draw(st.sampled_from((2, 3)))
+    return GasSpec(statistics, 10.0 ** draw(_LOG10_Q), dimension)
 
 
 @st.composite
 def _points(draw):
-    statistics = draw(st.sampled_from(("boson", "fermion")))
-    dimension = draw(st.sampled_from((2, 3)))
-    q = 10.0 ** draw(_LOG10_Q)
-    z = draw(_BOSON_Z if statistics == "boson" else _FERMION_Z)
-    return GasSpec(statistics, q, dimension), z
+    spec = draw(_specs())
+    return spec, draw(_BOSON_Z if spec.statistics == "boson" else _FERMION_Z)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(_points())
 # A fixed seed, the one derandomize=True derived from an earlier source of this
 # test, so that editing the body does not redraw the 200 points it checks.
+# Hypothesis also mixes literal constants of the library into its draws, so
+# a change of the library's literals can redraw a few of them.
 @seed(38989246768101620029459071379097188770692265410635301163739142683764624896443163432099991638792759566960073809628951)  # noqa: E501
 # Other draws reach the D = 2 fermion at large q and small z, where the z^2
 # term of h all but cancels.  The closed form, summed from the cluster series
@@ -68,3 +85,24 @@ def test_curvature_properties(point):
     assert metric_tensor(spec, 1.0, z).det > 0.0
     oracle = determinant_curvature_oracle(spec, 1.0, z)
     assert abs(r - oracle) <= 1e-5 * abs(oracle)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_specs(), _DILUTE_Z)
+@seed(20231)
+def test_dilute_limit(spec, z):
+    # R underflowed to 0.0 at z ~ 1e-81 and raised ZeroDivisionError below;
+    # the absolute floor covers q near a root of B, where R -> 0
+    r = curvature_closed_form(spec, z).R_reduced
+    want = -(1.0 + spec.p) * _B[spec.statistics, spec.dimension](spec.q)
+    assert abs(r - want) <= max(1e-12 * abs(want), 1e-15)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_specs(), _BELOW_LIMIT_Z)
+@seed(20232)
+@example(spec=GasSpec("boson", 1.0, 2), z=_Z_LIMIT)
+@example(spec=GasSpec("fermion", 1000.0, 3), z=5e-324)
+def test_at_or_below_z_limit_raises(spec, z):
+    with pytest.raises(DomainError, match="R needs z > 1.492e-154"):
+        curvature_closed_form(spec, z)

@@ -55,6 +55,17 @@ class TestCoefficientValues:
         # approaches zero from above
         assert 0.0 < zeta_fermion_d2(100.0) < 1e-4
 
+    def test_zeta_without_cancellation(self):
+        # 1/(4 (1 + q^2)) as (1/4)(1 - (1 + q^-2)^-1) lost 6.1e-11 at q = 1e3
+        # and read 0.0 from q ~ 1e8
+        for e in np.arange(-3.0, 150.25, 0.25):
+            q = 10.0 ** e
+            value = zeta_fermion_d2(q)
+            with mpmath.workdps(40):
+                want = 1 / (4 * (1 + mpmath.mpf(q) ** 2))
+            assert value > 0.0
+            assert abs(value - want) <= 1e-14 * want, q
+
     @pytest.mark.parametrize("f", [delta, eta])
     def test_boson_coefficients_increase_with_q(self, f):
         qs = [0.5, 1.0, 1.5, 2.0, 3.0]

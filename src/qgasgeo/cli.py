@@ -9,15 +9,16 @@ signtable     sign of R for the standard q values at small fugacity
 selfcheck     run the cross-checks of `qgasgeo.checks`; exit 0 iff all pass
               (--format json: one object with each check's result and time)
 
-Exit codes: 0 success, 1 usage error, 2 domain error on every grid point,
-3 self-check failure.  Sweep output is CSV (default) or JSON with one row
-per grid point; per-point failures land in the `error` column instead of
-aborting the sweep.
+Exit codes: 0 success, 1 usage error (also an --out that cannot be opened, or
+stdout closed by its reader), 2 domain error on every grid point, 3 self-check
+failure.  Sweep output is CSV (default) or JSON with one row per grid point;
+per-point failures land in the `error` column instead of aborting the sweep.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -76,15 +77,22 @@ def _parse_values(parser, text, points, what):
                      f"use 'v1,v2,...' or 'lo:hi' with --points")
 
 
-def _open_out(path):
-    if path in (None, "-"):
+def _open_out(args, parser):
+    """--out opened for writing, or stdout; an --out that cannot be opened exits 1."""
+    if args.out in (None, "-"):
         return nullcontext(sys.stdout)
-    return open(path, "w", newline="")
+    try:
+        return open(args.out, "w", newline="")
+    except OSError as exc:
+        parser.exit(1, f"{parser.prog}: error: cannot write --out {args.out}: {exc.strerror}\n")
 
 
-def _emit(rows, fieldnames, fmt, out_path, metadata):
-    with _open_out(out_path) as fh:
-        if fmt == "json":
+def _emit(args, parser, rows, fieldnames):
+    """Write rows as CSV, or as JSON after the run's metadata, to --out or stdout."""
+    with _open_out(args, parser) as fh:
+        if args.format == "json":
+            metadata = {"generator": "qgasgeo", "version": __version__, "mode": args.command,
+                        "normalization": _NORMALIZATION, "rel_tol": REL_TOL}
             json.dump({"metadata": metadata, "rows": rows}, fh, indent=2)
             fh.write("\n")
         else:
@@ -96,14 +104,9 @@ def _emit(rows, fieldnames, fmt, out_path, metadata):
                      for k in fieldnames])
 
 
-def _metadata(mode):
-    return {
-        "generator": "qgasgeo",
-        "version": __version__,
-        "mode": mode,
-        "normalization": _NORMALIZATION,
-        "rel_tol": REL_TOL,
-    }
+def _exit_status(rows):
+    """2 when every row failed, else 0."""
+    return 2 if rows and all(r["error"] for r in rows) else 0
 
 
 def _curvature_row(stat, dim, q, z):
@@ -117,22 +120,17 @@ def _curvature_row(stat, dim, q, z):
     return row
 
 
-def _run_curvature_sweep(args, parser, mode):
-    if mode == "curvature-z":
-        qs = _parse_values(parser, args.q, args.points, "q")
-        zs = _parse_values(parser, args.z, args.points, "z")
+def _run_curvature_sweep(args, parser):
+    zs = _parse_values(parser, args.z, args.points, "z")
+    qs = _parse_values(parser, args.q, args.points, "q")
+    # curvature-z runs over z at each q, curvature-q over q at each z
+    if args.command == "curvature-z":
         grid = [(q, z) for q in qs for z in zs]
     else:
-        zs = _parse_values(parser, args.z, args.points, "z")
-        qs = _parse_values(parser, args.q, args.points, "q")
         grid = [(q, z) for z in zs for q in qs]
     rows = [_curvature_row(args.stat, args.dim, q, z) for q, z in grid]
-
-    fieldnames = ["statistics", "D", "q", "z", "R_reduced", "normalization", "error"]
-    _emit(rows, fieldnames, args.format, args.out, _metadata(mode))
-    if rows and all(r["error"] for r in rows):
-        return 2
-    return 0
+    _emit(args, parser, rows, ["statistics", "D", "q", "z", "R_reduced", "normalization", "error"])
+    return _exit_status(rows)
 
 
 def _run_virial(args, parser):
@@ -142,24 +140,18 @@ def _run_virial(args, parser):
                  "eta": eta(q), "zeta": zeta_fermion_d2(q)} for q in qs]
     except DomainError as exc:
         parser.error(f"--q: {exc}")
-    _emit(rows, ["q", "alpha", "delta", "eta", "zeta"],
-          args.format, args.out, _metadata("virial"))
+    _emit(args, parser, rows, ["q", "alpha", "delta", "eta", "zeta"])
     return 0
 
 
 def _run_signtable(args, parser):
-    z = args.z
-    rows = []
-    for (dim, stat), qs in _SIGNTABLE_QS.items():
-        for q in qs:
-            row = _curvature_row(stat, dim, q, z)
-            value = row["R_reduced"]
-            row["sign"] = "" if row["error"] else ("+" if value > 0 else "-")
-            rows.append(row)
-    fieldnames = ["statistics", "D", "q", "z", "R_reduced", "normalization", "sign", "error"]
+    rows = [_curvature_row(stat, dim, q, args.z)
+            for (dim, stat), qs in _SIGNTABLE_QS.items() for q in qs]
+    for row in rows:
+        row["sign"] = "" if row["error"] else ("+" if row["R_reduced"] > 0 else "-")
     if args.format == "table":
-        with _open_out(args.out) as fh:
-            fh.write(f"sign of R at z = {z:g} ({_NORMALIZATION} normalization)\n")
+        with _open_out(args, parser) as fh:
+            fh.write(f"sign of R at z = {args.z:g} ({_NORMALIZATION} normalization)\n")
             for (dim, stat), qs in _SIGNTABLE_QS.items():
                 signs = [r["sign"] or "?" for r in rows
                          if r["D"] == dim and r["statistics"] == stat]
@@ -168,13 +160,12 @@ def _run_signtable(args, parser):
                 fh.write(f"\nD={dim} {stat:<8} q: {qcells}\n")
                 fh.write(f"   {'':<8} R: {scells}\n")
     else:
-        _emit(rows, fieldnames, args.format, args.out, _metadata("signtable"))
-    if rows and all(r["error"] for r in rows):
-        return 2
-    return 0
+        _emit(args, parser, rows,
+              ["statistics", "D", "q", "z", "R_reduced", "normalization", "sign", "error"])
+    return _exit_status(rows)
 
 
-def _run_selfcheck(args):
+def _run_selfcheck(args, parser):
     t0 = time.perf_counter()
     results = []
     for name, check in checks.CHECKS:
@@ -231,12 +222,15 @@ def _build_parser():
 
     p = sub.add_parser("curvature-z", help="R(z) sweep at fixed deformation values")
     _add_common(p, stat=BOSON, dim=3, q="0.5,1,1.15,2", z="0.02:0.98")
+    p.set_defaults(run=_run_curvature_sweep)
 
     p = sub.add_parser("curvature-q", help="R(q) sweep at fixed fugacities")
     _add_common(p, stat=FERMION, dim=3, q="0.2:5", z="0.1,0.5,2,10")
+    p.set_defaults(run=_run_curvature_sweep)
 
     p = sub.add_parser("virial", help="virial coefficients alpha, delta, eta, zeta vs q")
     _add_common(p, q="0.2:3", points=57)
+    p.set_defaults(run=_run_virial)
 
     p = sub.add_parser("signtable", help="sign of R at small fugacity, standard q values")
     p.add_argument("--z", type=float, default=0.05,
@@ -245,24 +239,28 @@ def _build_parser():
                    help="output format (default %(default)s)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output path (default stdout)")
+    p.set_defaults(run=_run_signtable)
 
     p = sub.add_parser("selfcheck", help="run oracle cross-validations; exit 0 iff all pass")
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="one line per check, or one JSON object with each check's "
                         "name, pass flag, detail and seconds (default %(default)s)")
+    p.set_defaults(run=_run_selfcheck)
     return parser
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "curvature-z" or args.command == "curvature-q":
-        return _run_curvature_sweep(args, parser, args.command)
-    if args.command == "virial":
-        return _run_virial(args, parser)
-    if args.command == "signtable":
-        return _run_signtable(args, parser)
-    return _run_selfcheck(args)
+    try:
+        status = args.run(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): point stdout at devnull so
+        # the flush at interpreter exit cannot raise again, and end without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -50,59 +50,38 @@ class OutOfVirialRangeError(ValueError):
     """Density too large for the second-order expansion to be meaningful."""
 
 
-def _second_virial(statistics, dimension):
-    """B(q) = (1/4) (2^(1 - D/2) - c Lambda^(-D/2)) of one gas, as a function of
-    q; q is not checked (see `_coefficient`)."""
+def _second_virial(statistics, dimension, q):
+    """B(q) = (1/4) (2^(1 - D/2) - c Lambda^(-D/2)) of one gas; raises
+    DomainError unless q is a finite real > 0 (not a bool)."""
+    _require_positive(q, "deformation parameter q")
     c, p = _EXCHANGE[statistics], dimension / 2.0
     ideal = 2.0 ** (1.0 - p)
-    inverse = statistics == FERMION
-
-    def coefficient(q):
-        t = 1.0 / float(q) if inverse else float(q)
-        # t * t overflows to inf for t > 1.3e154, and inf ** -p is 0.0; as a
-        # Python float, not a numpy scalar, t overflows without a warning
-        if ideal == c:  # D = 2 fermion: no difference to cancel to 0.0 at large q
-            return -0.25 * c * math.expm1(-p * math.log1p(t * t))
-        return 0.25 * (ideal - c * (1.0 + t * t) ** -p)
-
-    return coefficient
-
-
-# B(q) of each (statistics, D)
-_B = {gas: _second_virial(*gas) for gas in _GASES.values()}
-
-
-def _gas(kind):
-    try:
-        return _GASES[kind]
-    except KeyError:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}") from None
-
-
-def _coefficient(gas, q):
-    """B(q) of gas; raises DomainError unless q is a finite real > 0 (not a bool)."""
-    _require_positive(q, "deformation parameter q")
-    return _B[gas](q)
+    t = 1.0 / float(q) if statistics == FERMION else float(q)
+    # t * t overflows to inf for t > 1.3e154, and inf ** -p is 0.0; as a
+    # Python float, not a numpy scalar, t overflows without a warning
+    if ideal == c:  # D = 2 fermion: no difference to cancel to 0.0 at large q
+        return -0.25 * c * math.expm1(-p * math.log1p(t * t))
+    return 0.25 * (ideal - c * (1.0 + t * t) ** -p)
 
 
 def alpha(q):
     """Fermion D=3 coefficient: > 0 below q* = 1.961..., alpha(1) = 1/(8 sqrt(2))."""
-    return _coefficient((FERMION, 3), q)
+    return _second_virial(FERMION, 3, q)
 
 
 def delta(q):
     """Boson D=3 coefficient: < 0 below q* = 1.273..., delta(1) = -1/(8 sqrt(2))."""
-    return _coefficient((BOSON, 3), q)
+    return _second_virial(BOSON, 3, q)
 
 
 def eta(q):
     """Boson D=2 coefficient -(2 - q^2)/(4 (1 + q^2)): < 0 below sqrt(2), eta(1) = -1/8."""
-    return _coefficient((BOSON, 2), q)
+    return _second_virial(BOSON, 2, q)
 
 
 def zeta_fermion_d2(q):
     """Fermion D=2 coefficient 1/(4 (1 + q^2)): > 0 for every q, zeta(1) = 1/8."""
-    return _coefficient((FERMION, 2), q)
+    return _second_virial(FERMION, 2, q)
 
 
 def _threshold(statistics, dimension):
@@ -113,8 +92,8 @@ def _threshold(statistics, dimension):
     return (lam - 1.0) ** (0.5 if statistics == BOSON else -0.5)
 
 
-# q* of each (statistics, D)
-_THRESHOLDS = {gas: _threshold(*gas) for gas in _GASES.values()}
+# q* of each kind
+_THRESHOLDS = {kind: _threshold(*gas) for kind, gas in _GASES.items()}
 
 
 def virial_threshold(kind):
@@ -125,7 +104,10 @@ def virial_threshold(kind):
     delta ((3 sqrt(2))^(2/3) - 1)^(1/2), eta sqrt(2), each within an ulp of
     the exact root; zeta None.  Raises ValueError for any other kind.
     """
-    return _THRESHOLDS[_gas(kind)]
+    try:
+        return _THRESHOLDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}") from None
 
 
 def fugacity_from_density(spec, density):
@@ -138,7 +120,7 @@ def fugacity_from_density(spec, density):
     _require_positive(density, "density")
     n = float(density)
     first = 0.5 * n
-    second = _B[spec.statistics, spec.dimension](spec.q) * n * n
+    second = _second_virial(spec.statistics, spec.dimension, spec.q) * n * n
     if abs(second) >= 0.5 * abs(first):
         raise OutOfVirialRangeError(
             f"second-order term {second:.3e} is not small against {first:.3e}; "

@@ -3,9 +3,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qgasgeo
 from qgasgeo import GasSpec, checks, curvature_closed_form
 from qgasgeo.cli import main
 
@@ -42,6 +46,27 @@ class TestCurvatureSweeps:
         assert len(doc["rows"]) == 2
         assert {"statistics", "D", "q", "z", "R_reduced", "normalization", "error"} \
             <= set(doc["rows"][0])
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature-z", "--q", "1", "--z", "0.5"],
+        ["curvature-q", "--q", "1", "--z", "0.5"],
+        ["virial", "--q", "1"],
+        ["signtable"],
+    ])
+    def test_json_metadata_names_the_subcommand(self, argv, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        metadata = json.loads(out.read_text())["metadata"]
+        assert metadata["mode"] == argv[0]
+        assert set(metadata) == {"generator", "version", "mode", "normalization", "rel_tol"}
+
+    @pytest.mark.parametrize("command", ["curvature-z", "curvature-q"])
+    def test_both_values_bad_names_z(self, command, capsys):
+        # the sweeps parse --z before --q
+        with pytest.raises(SystemExit) as err:
+            main([command, "--q", "oops", "--z", "oops"])
+        assert err.value.code == 1
+        assert "cannot parse z specification 'oops'" in capsys.readouterr().err
 
     def test_range_grid(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -176,6 +201,12 @@ class TestSignTable:
         assert [r["sign"] for r in rows] == self.EXPECTED
         assert all(float(r["z"]) == 0.05 for r in rows)
 
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_every_row_failed_exit_2(self, fmt, tmp_path):
+        # z = 1e200 is outside every gas's domain (bosons z < 1, fermions z <= 4.74e153)
+        out = tmp_path / "s.txt"
+        assert main(["signtable", "--z", "1e200", "--format", fmt, "--out", str(out)]) == 2
+
     def test_table_rendering(self, tmp_path):
         out = tmp_path / "s.txt"
         rc = main(["signtable", "--out", str(out)])
@@ -184,6 +215,39 @@ class TestSignTable:
         assert "sign of R at z = 0.05" in text
         assert "D=3 boson" in text and "D=2 fermion" in text
         assert text.count("+") + text.count("-") >= 18
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["curvature-z", "--q", "1", "--z", "0.5"],
+        ["curvature-q", "--q", "1", "--z", "0.5"],
+        ["virial", "--q", "1"],
+        ["signtable"],
+    ])
+    def test_unwritable_out_is_one_line_exit_1(self, argv, tmp_path, capsys):
+        # this ended in a FileNotFoundError traceback after the whole sweep
+        path = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(path)])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"qgasgeo: error: cannot write --out {path}: "
+                                "No such file or directory\n")
+
+    def test_closed_stdout_ends_quietly(self):
+        # the reader takes one line and closes the pipe; this ended in a
+        # BrokenPipeError traceback
+        src = os.path.dirname(os.path.dirname(qgasgeo.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qgasgeo.cli", "virial", "--q", "0.2:3", "--points", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline() == b"q,alpha,delta,eta,zeta\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) != 0
+        assert err == b""
 
 
 class TestExitCodes:

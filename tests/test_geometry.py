@@ -201,6 +201,26 @@ class TestDegenerateGuard:
             curvature_from_moments(m)
 
 
+    @pytest.mark.parametrize("stat,q,dim,z", [
+        ("boson", 1.15, 3, 1e-20),
+        ("boson", 1.15, 3, 1e-50),
+        ("boson", 1.15, 3, 1e-76),
+        ("boson", 1.15, 2, 1e-16),
+        ("fermion", 1000.0, 2, 1e-10),
+    ])
+    def test_oracle_determinant_without_a_digit(self, stat, q, dim, z):
+        # the 3x3 determinant cancelled to exactly 0.0 here (16 times R off at
+        # boson D=2, z = 1e-16), and the oracle returned that quietly
+        with pytest.raises(DegenerateMetricError, match="within rounding of its products"):
+            determinant_curvature_oracle(GasSpec(stat, q, dim), 1.0, z)
+
+    def test_oracle_answers_while_a_digit_is_left(self):
+        # eps * sum|products| / |det| = 4.7e-2 at z = 1e-12: 4.9e-4 off, not raised
+        spec = GasSpec("boson", 1.15, 3)
+        want = curvature_closed_form(spec, 1e-12).R_reduced
+        assert determinant_curvature_oracle(spec, 1.0, 1e-12) == pytest.approx(want, rel=1e-3)
+
+
 class TestSignBoundary:
     def test_boson_d2_low_z_crossing(self):
         q_star = curvature_sign_boundary(GasSpec("boson", 1.0, 2), 0.01, 1.0, 2.0)

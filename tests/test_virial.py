@@ -143,8 +143,10 @@ class TestThresholds:
         assert virial_threshold("zeta") is None
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            virial_threshold("gamma")
+        # an unhashable kind raised TypeError from the table lookup
+        for kind in ("gamma", [], None):
+            with pytest.raises(ValueError, match=r"kind must be one of \("):
+                virial_threshold(kind)
 
     @pytest.mark.parametrize("kind,stat,dim", [
         ("alpha", "fermion", 3),

@@ -9,10 +9,19 @@ signtable     sign of R for the standard q values at small fugacity
 selfcheck     run the cross-checks of `qgasgeo.checks`; exit 0 iff all pass
               (--format json: one object with each check's result and time)
 
-Exit codes: 0 success, 1 usage error (also an --out that cannot be opened, or
-stdout closed by its reader), 2 domain error on every grid point, 3 self-check
-failure.  Sweep output is CSV (default) or JSON with one row per grid point;
-per-point failures land in the `error` column instead of aborting the sweep.
+Exit codes
+----------
+0  success
+1  usage error, found by argparse before any work: an unknown option, a q or z
+   that is not a finite number > 0 (no gas accepts one), --points below 2;
+   also an --out that cannot be opened (it is opened before the work), or
+   stdout closed by its reader
+2  domain error on every grid point
+3  self-check failure
+
+Sweep output is CSV (default) or JSON with one row per grid point, floats
+written as their shortest round-trip repr in both; per-point failures land in
+the `error` column instead of aborting the sweep.
 """
 
 import argparse
@@ -26,7 +35,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import __version__, checks
-from .core import BOSON, FERMION, DomainError, GasSpec
+from .core import BOSON, FERMION, DomainError, GasSpec, _require_positive
 from .distributions import ConvergenceError
 from .geometry import DegenerateMetricError, curvature_closed_form
 from .quadrature import REL_TOL, ToleranceError
@@ -54,54 +63,50 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value):
-    """17 significant digits: full float round-trip precision."""
-    return format(value, ".17g")
-
-
-def _parse_values(parser, text, points, what):
-    """Parse 'a,b,c' into a list or 'lo:hi' into a linspace of `points`."""
+def _positive(text):
+    """argparse type of one q or z value: finite and > 0, as every gas requires."""
     try:
-        if ":" in text:
-            lo_s, hi_s = text.split(":")
-            lo, hi = float(lo_s), float(hi_s)
-            if points < 2:
-                parser.error(f"--points must be >= 2 for a {what} range, got {points}")
-            return [float(v) for v in np.linspace(lo, hi, points)]
-        values = [float(v) for v in text.split(",") if v.strip()]
-        if not values:
-            raise ValueError("empty list")
-        return values
+        value = float(text)
+        _require_positive(value, "value")
+    except ValueError as exc:  # DomainError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _values(text):
+    """argparse type of --q and --z: the values as a function of --points;
+    'lo:hi' gives that many equally spaced values, 'v1,v2,...' its own list."""
+    if ":" in text:
+        lo, hi = map(_positive, text.split(":", 1))
+        return lambda points: [float(v) for v in np.linspace(lo, hi, points)]
+    values = [_positive(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no value in {text!r}; use 'v1,v2,...' or 'lo:hi'")
+    return lambda points: values
+
+
+def _points(text):
+    """argparse type of --points: an integer >= 2, the fewest a LO:HI range spans."""
+    try:
+        points = int(text)
     except ValueError:
-        parser.error(f"cannot parse {what} specification {text!r}; "
-                     f"use 'v1,v2,...' or 'lo:hi' with --points")
+        points = 0
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return points
 
 
-def _open_out(args, parser):
-    """--out opened for writing, or stdout; an --out that cannot be opened exits 1."""
-    if args.out in (None, "-"):
-        return nullcontext(sys.stdout)
-    try:
-        return open(args.out, "w", newline="")
-    except OSError as exc:
-        parser.exit(1, f"{parser.prog}: error: cannot write --out {args.out}: {exc.strerror}\n")
-
-
-def _emit(args, parser, rows, fieldnames):
-    """Write rows as CSV, or as JSON after the run's metadata, to --out or stdout."""
-    with _open_out(args, parser) as fh:
-        if args.format == "json":
-            metadata = {"generator": "qgasgeo", "version": __version__, "mode": args.command,
-                        "normalization": _NORMALIZATION, "rel_tol": REL_TOL}
-            json.dump({"metadata": metadata, "rows": rows}, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow(
-                    [_fmt(row[k]) if isinstance(row[k], float) else row[k]
-                     for k in fieldnames])
+def _emit(args, out, rows, fieldnames):
+    """Write rows as CSV, or as JSON after the run's metadata."""
+    if args.format == "json":
+        metadata = {"generator": "qgasgeo", "version": __version__, "mode": args.command,
+                    "normalization": _NORMALIZATION, "rel_tol": REL_TOL}
+        json.dump({"metadata": metadata, "rows": rows}, out, indent=2)
+        out.write("\n")
+    else:
+        writer = csv.DictWriter(out, fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _exit_status(rows):
@@ -120,52 +125,46 @@ def _curvature_row(stat, dim, q, z):
     return row
 
 
-def _run_curvature_sweep(args, parser):
-    zs = _parse_values(parser, args.z, args.points, "z")
-    qs = _parse_values(parser, args.q, args.points, "q")
+def _run_curvature_sweep(args, out):
+    zs, qs = args.z(args.points), args.q(args.points)
     # curvature-z runs over z at each q, curvature-q over q at each z
     if args.command == "curvature-z":
         grid = [(q, z) for q in qs for z in zs]
     else:
         grid = [(q, z) for z in zs for q in qs]
     rows = [_curvature_row(args.stat, args.dim, q, z) for q, z in grid]
-    _emit(args, parser, rows, ["statistics", "D", "q", "z", "R_reduced", "normalization", "error"])
+    _emit(args, out, rows, ["statistics", "D", "q", "z", "R_reduced", "normalization", "error"])
     return _exit_status(rows)
 
 
-def _run_virial(args, parser):
-    qs = _parse_values(parser, args.q, args.points, "q")
-    try:
-        rows = [{"q": q, "alpha": alpha(q), "delta": delta(q),
-                 "eta": eta(q), "zeta": zeta_fermion_d2(q)} for q in qs]
-    except DomainError as exc:
-        parser.error(f"--q: {exc}")
-    _emit(args, parser, rows, ["q", "alpha", "delta", "eta", "zeta"])
+def _run_virial(args, out):
+    rows = [{"q": q, "alpha": alpha(q), "delta": delta(q), "eta": eta(q),
+             "zeta": zeta_fermion_d2(q)} for q in args.q(args.points)]
+    _emit(args, out, rows, ["q", "alpha", "delta", "eta", "zeta"])
     return 0
 
 
-def _run_signtable(args, parser):
+def _run_signtable(args, out):
     rows = [_curvature_row(stat, dim, q, args.z)
             for (dim, stat), qs in _SIGNTABLE_QS.items() for q in qs]
     for row in rows:
         row["sign"] = "" if row["error"] else ("+" if row["R_reduced"] > 0 else "-")
     if args.format == "table":
-        with _open_out(args, parser) as fh:
-            fh.write(f"sign of R at z = {args.z:g} ({_NORMALIZATION} normalization)\n")
-            for (dim, stat), qs in _SIGNTABLE_QS.items():
-                signs = [r["sign"] or "?" for r in rows
-                         if r["D"] == dim and r["statistics"] == stat]
-                qcells = "".join(f"{q:>8g}" for q in qs)
-                scells = "".join(f"{s:>8}" for s in signs)
-                fh.write(f"\nD={dim} {stat:<8} q: {qcells}\n")
-                fh.write(f"   {'':<8} R: {scells}\n")
+        out.write(f"sign of R at z = {args.z:g} ({_NORMALIZATION} normalization)\n")
+        for (dim, stat), qs in _SIGNTABLE_QS.items():
+            signs = [r["sign"] or "?" for r in rows
+                     if r["D"] == dim and r["statistics"] == stat]
+            qcells = "".join(f"{q:>8g}" for q in qs)
+            scells = "".join(f"{s:>8}" for s in signs)
+            out.write(f"\nD={dim} {stat:<8} q: {qcells}\n")
+            out.write(f"   {'':<8} R: {scells}\n")
     else:
-        _emit(args, parser, rows,
+        _emit(args, out, rows,
               ["statistics", "D", "q", "z", "R_reduced", "normalization", "sign", "error"])
     return _exit_status(rows)
 
 
-def _run_selfcheck(args, parser):
+def _run_selfcheck(args, out):
     t0 = time.perf_counter()
     results = []
     for name, check in checks.CHECKS:
@@ -177,17 +176,17 @@ def _run_selfcheck(args, parser):
         results.append({"name": name, "passed": bool(ok), "detail": detail,
                         "seconds": time.perf_counter() - t})
         if args.format == "text":
-            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=out)
     passed = sum(r["passed"] for r in results)
     total = len(results)
     elapsed = time.perf_counter() - t0
     if args.format == "json":
         json.dump({"checks": results, "passed": passed, "total": total,
-                   "ok": passed == total, "seconds": elapsed}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+                   "ok": passed == total, "seconds": elapsed}, out, indent=2)
+        out.write("\n")
     else:
         print(f"{'OK' if passed == total else 'FAILED'}: {passed}/{total} checks passed "
-              f"in {elapsed:.1f} s")
+              f"in {elapsed:.1f} s", file=out)
     return 0 if passed == total else 3
 
 
@@ -199,13 +198,13 @@ def _add_common(sub, *, stat=None, dim=None, q=None, z=None, points=49):
         sub.add_argument("--dim", type=int, choices=[2, 3], default=dim,
                          help="spatial dimension (default %(default)s)")
     if q is not None:
-        sub.add_argument("--q", default=q, metavar="LIST|LO:HI",
+        sub.add_argument("--q", type=_values, default=q, metavar="LIST|LO:HI",
                          help="deformation values (default %(default)s)")
     if z is not None:
-        sub.add_argument("--z", default=z, metavar="LIST|LO:HI",
+        sub.add_argument("--z", type=_values, default=z, metavar="LIST|LO:HI",
                          help="fugacity values (default %(default)s)")
-    sub.add_argument("--points", type=int, default=points,
-                     help="grid size for LO:HI ranges (default %(default)s)")
+    sub.add_argument("--points", type=_points, default=points,
+                     help="grid size for LO:HI ranges, >= 2 (default %(default)s)")
     sub.add_argument("--format", choices=["csv", "json"], default="csv",
                      help="output format (default %(default)s)")
     sub.add_argument("--out", default=None, metavar="PATH",
@@ -233,7 +232,7 @@ def _build_parser():
     p.set_defaults(run=_run_virial)
 
     p = sub.add_parser("signtable", help="sign of R at small fugacity, standard q values")
-    p.add_argument("--z", type=float, default=0.05,
+    p.add_argument("--z", type=_positive, default=0.05,
                    help="fugacity at which signs are evaluated (default %(default)s)")
     p.add_argument("--format", choices=["csv", "json", "table"], default="table",
                    help="output format (default %(default)s)")
@@ -252,8 +251,15 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # argparse has checked every value, so --out is opened before the work
+    path = getattr(args, "out", None)  # selfcheck has no --out
     try:
-        status = args.run(args, parser)
+        out = nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="")
+    except OSError as exc:
+        parser.exit(1, f"{parser.prog}: error: cannot write --out {path}: {exc.strerror}\n")
+    try:
+        with out as fh:
+            status = args.run(args, fh)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (as `| head` does): point stdout at devnull so

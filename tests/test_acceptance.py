@@ -4,6 +4,7 @@ The verdict lines are echoed in a terminal summary section by conftest.py so
 they are visible in a default (captured) pytest run.
 """
 
+import dataclasses
 import math
 import os
 import shutil
@@ -142,6 +143,21 @@ def test_criterion_07_fermion_large_q_profile():
 def test_criterion_08_metric_validity():
     ok, detail = checks.metric_positivity()
     _report(8, ok, detail)
+
+
+def test_metric_validity_names_failing_points(monkeypatch):
+    # det g < 0 at one grid point: the check fails and names it
+    metric_tensor = checks.metric_tensor
+
+    def metric(spec, beta, z):
+        g = metric_tensor(spec, beta, z)
+        if (spec.statistics, spec.dimension, spec.q, z) == ("fermion", 2, 10.0, 10.0):
+            return dataclasses.replace(g, g12=2.0 * math.sqrt(g.g11 * g.g22))
+        return g
+
+    monkeypatch.setattr(checks, "metric_tensor", metric)
+    assert checks.metric_positivity() == (
+        False, "g11, g22, det g positive at 41/42 grid points; failing: fermion D=2 q=10.0 z=10.0")
 
 
 def test_criterion_09_beta_independence():

@@ -10,8 +10,12 @@ import sys
 import pytest
 
 import qgasgeo
-from qgasgeo import GasSpec, checks, curvature_closed_form
+from qgasgeo import GasSpec, checks, cli, curvature_closed_form
 from qgasgeo.cli import main
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
 def read_csv(path):
@@ -32,7 +36,7 @@ class TestCurvatureSweeps:
             want = curvature_closed_form(
                 GasSpec(row["statistics"], float(row["q"]), int(row["D"])),
                 float(row["z"])).R_reduced
-            # 17 significant digits survive the text round trip bit for bit
+            # repr survives the text round trip bit for bit
             assert float(row["R_reduced"]) == want
 
     def test_json_structure(self, tmp_path):
@@ -61,12 +65,38 @@ class TestCurvatureSweeps:
         assert set(metadata) == {"generator", "version", "mode", "normalization", "rel_tol"}
 
     @pytest.mark.parametrize("command", ["curvature-z", "curvature-q"])
-    def test_both_values_bad_names_z(self, command, capsys):
-        # the sweeps parse --z before --q
-        with pytest.raises(SystemExit) as err:
-            main([command, "--q", "oops", "--z", "oops"])
-        assert err.value.code == 1
-        assert "cannot parse z specification 'oops'" in capsys.readouterr().err
+    def test_both_values_bad_names_the_first(self, command, capsys):
+        # argparse checks the values in argv order
+        for first, second in (("--q", "--z"), ("--z", "--q")):
+            with pytest.raises(SystemExit) as err:
+                main([command, first, "oops", second, "oops"])
+            assert err.value.code == 1
+            assert capsys.readouterr().err.endswith(
+                f"error: argument {first}: could not convert string to float: 'oops'\n")
+
+    @pytest.mark.parametrize("argv,echoed", [
+        (["curvature-z", "--q", "1.15", "--z", "0.1"], {"q": "1.15", "z": "0.1"}),
+        (["curvature-q", "--q", "1.15", "--z", "0.1"], {"q": "1.15", "z": "0.1"}),
+        (["virial", "--q", "1.15"], {"q": "1.15"}),
+    ])
+    def test_floats_echo_as_typed(self, argv, echoed, tmp_path):
+        # repr, not 17 significant digits (1.1499999999999999)
+        out = tmp_path / "r.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert {k: row[k] for k in echoed} == echoed
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature-z", "--q", "1.15", "--z", "1e-300,0.5,1.5"],
+        ["curvature-q", "--stat", "fermion", "--q", "0.5,1e160", "--z", "1e80,1e160"],
+        ["virial", "--q", "1e-300,1,1e300"],
+        ["signtable", "--z", "1e200"],
+    ])
+    def test_json_is_strict(self, argv, tmp_path):
+        # no NaN or Infinity in the rows, also where every point fails
+        out = tmp_path / "r.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) in (0, 2)
+        json.loads(out.read_text(), parse_constant=reject_constant)
 
     def test_range_grid(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -235,6 +265,35 @@ class TestOutputErrors:
         assert captured.err == (f"qgasgeo: error: cannot write --out {path}: "
                                 "No such file or directory\n")
 
+    def test_out_is_opened_before_the_work(self, monkeypatch, tmp_path):
+        # an unwritable --out was reported only after the whole sweep
+        calls = []
+
+        def counting(spec, z):
+            calls.append((spec, z))
+            return curvature_closed_form(spec, z)
+
+        monkeypatch.setattr(cli, "curvature_closed_form", counting)
+        with pytest.raises(SystemExit) as err:
+            main(["curvature-z", "--q", "1.15", "--z", "0.02:0.98", "--points", "30",
+                  "--out", str(tmp_path / "missing" / "x.csv")])
+        assert err.value.code == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature-z", "--q", "1", "--z", "0"],
+        ["curvature-q", "--q", "1,2", "--z", "0.5", "--points", "1"],
+        ["virial", "--q", "1", "--points", "1"],
+        ["signtable", "--z", "nan"],
+    ])
+    def test_usage_error_leaves_out_untouched(self, argv, tmp_path):
+        out = tmp_path / "kept.csv"
+        out.write_text("kept\n")
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(out)])
+        assert err.value.code == 1
+        assert out.read_text() == "kept\n"
+
     def test_closed_stdout_ends_quietly(self):
         # the reader takes one line and closes the pipe; this ended in a
         # BrokenPipeError traceback
@@ -264,11 +323,30 @@ class TestExitCodes:
         # the quadrature tolerance and the curvature normalization are not options
         ["curvature-z", "--rel-tol", "1e-8"],
         ["virial", "--normalization", "raw"],
+        # no gas accepts a q or z that is not finite and > 0; the first two
+        # wrote a bare NaN, which is not JSON
+        ["curvature-z", "--q", "1.15", "--z", "nan,0.5", "--format", "json"],
+        ["signtable", "--z", "nan", "--format", "json"],
+        ["curvature-q", "--q", "inf"],
+        ["curvature-q", "--z", "0.5:-1"],
+        ["signtable", "--z", "0"],
     ])
     def test_usage_errors_exit_1(self, argv):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["curvature-z", "--z", "oops"],
+        ["curvature-z", "--points", "1"],
+        ["virial", "--q", "0"],
+    ])
+    def test_usage_line_names_the_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: qgasgeo {argv[0]} [-h]")
+        assert f"\nqgasgeo {argv[0]}: error: argument {argv[1]}: " in err
 
     def test_version_exits_0(self):
         with pytest.raises(SystemExit) as err:

@@ -149,6 +149,16 @@ class TestBatchedIntegrator:
         with pytest.raises(ToleranceError):
             moment_integrals(GasSpec("fermion", 1.0, 2), 0.5)
 
+    def test_undecaying_integrand_raises_at_the_tail_cutoff(self, monkeypatch):
+        def flat_kernel(spec, z):
+            return lambda x: np.ones((len(x), 4))
+
+        monkeypatch.setattr(quadrature, "cumulant_kernel", flat_kernel)
+        with pytest.raises(ToleranceError, match=r"no integrand decay .* by x = ") as info:
+            moment_integrals(GasSpec("boson", 1.15, 2), 0.5)
+        assert info.value.est_error == math.inf
+        assert float(str(info.value).rsplit("x = ", 1)[1]) > 1e6
+
     def test_one_kernel_call_per_refinement_step(self, monkeypatch):
         calls = []
         kernel = quadrature.cumulant_kernel

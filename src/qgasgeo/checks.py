@@ -36,14 +36,17 @@ GRID_Q_Z = {
 # polylogarithms, 2 Gamma(nu+1) Li_(nu+2-k)(z) for bosons and
 # -2 Gamma(nu+1) Li_(nu+2-k)(-z) for fermions, k = 0..3, nu = (D - 2) / 2.
 # Each is an mpmath value at 30 digits rounded once to a double;
-# tests/test_quadrature.py recomputes them.
+# tests/test_quadrature.py recomputes them.  The bosons at z = 1.0 - 1e-10
+# lie past the reach of the quadrature.
 POLYLOG_Q1 = {
     (BOSON, 3, 0.1): (0.18049825095890348, 0.183876936709499, 0.19089920003185548, 0.2057806386346604),
     (BOSON, 3, 0.5): (0.9837070639049367, 1.1074947837405864, 1.4288224145751478, 2.387945102183389),
     (BOSON, 3, 0.9): (2.0188302982125954, 2.8615177870076436, 7.128721523326246, 45.567070808249824),
+    (BOSON, 3, 1.0 - 1e-10): (2.3777242545920396, 4.630251915191402, 314156.6639433263, 1570796131724700.5),
     (BOSON, 2, 0.1): (0.20523558219878227, 0.21072103131565262, 0.22222222222222224, 0.2469135802469136),
     (BOSON, 2, 0.5): (1.164481052930025, 1.3862943611198906, 2.0, 4.0),
     (BOSON, 2, 0.9): (2.5994294460099177, 4.605170185988092, 18.000000000000004, 180.00000000000009),
+    (BOSON, 2, 1.0 - 1e-10): (3.2898681288912823, 46.05170169440018, 19999998343.19272, 1.999999668838557e+20),
     (FERMION, 3, 0.5): (0.8194014843078574, 0.7619554385909557, 0.6624585934939305, 0.5016271462632386),
     (FERMION, 3, 2.0): (2.773857263757191, 2.271187594606319, 1.5797681090591766, 0.7754146856616027),
     (FERMION, 3, 10.0): (9.019620376873617, 5.823723404591665, 2.815162108987595, 0.7109411171370521),

@@ -129,12 +129,13 @@ def curvature_from_moments(moments):
     R = (p + 1) Gamma(p) N / ((p + 1) a c - p b^2)^2 with p = D/2 and
     N = b^2 c + a b d - 2 a c^2.
 
-    Series moments carry the excesses eb = b - a, ec = c - a, ed = d - a,
-    and N = a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2)
+    Moments of the series route, and of the polylog route up to z = 3/4,
+    carry the excesses eb = b - a, ec = c - a, ed = d - a, and
+    N = a^2 (3 eb - 3 ec + ed) + a (eb^2 + 2 eb ec + eb ed - 2 ec^2)
     + eb^2 ec there: its a^3 terms cancel symbolically, not in the rounding
-    of a^3 against an N of order z^4.  Quadrature moments use N as written:
-    at large z each excess is about -a, and the excess form lost 3e-4 for a
-    fermion at z = 1e80.
+    of a^3 against an N of order z^4.  Quadrature moments, and polylog
+    moments above z = 3/4, use N as written: at large z each excess is
+    about -a, and the excess form lost 3e-4 for a fermion at z = 1e80.
 
     N and the squared denominator (order z^4) underflow from z ~ 1e-77, so
     below a = 2^-200 the moments are scaled exactly by the 2^k that brings a

@@ -1,11 +1,17 @@
 """Reduced moment integrals a, b, c, d = int_0^inf x^nu L_k(x) dx, k = 0..3.
 
+`moment_integrals` takes one of three routes: the cluster expansion at small
+z ("series"), polylogarithms for the q = 1 boson ("polylog") and adaptive
+quadrature for every other point ("quadrature").
+
 The four integrals are evaluated in one adaptive pass with the vector-valued
 integrand `distributions.cumulant_kernel`, so the four share one evaluation
 of the sums per abscissa.  That kernel sums a boson series only as far as the
 abscissa needs it: at q > 1 the terms past an x-dependent index are exactly
-zero, at q < 1 they are the full sums times e^(-x{inf}) to double precision,
-and q = 1 has closed forms (see `BosonThetaSeries`).  Both dimensions integrate 2 u^(2 nu + 1) L_k(u^2) du
+zero and at q < 1 they are the full sums times e^(-x{inf}) to double
+precision.  `BosonThetaSeries` has closed forms at q = 1 as well, but
+`moment_integrals` sends the q = 1 boson to the polylog route below, so only
+a direct call of the quadrature integrates it.  Both dimensions integrate 2 u^(2 nu + 1) L_k(u^2) du
 in u = sqrt(x): it removes the x^(1/2) endpoint factor at D = 3 and widens
 the features near x = 0 at D = 2 (a small-q fermion steps at x ~ q^2, a
 large-q boson at x ~ q^-2).  The infinite tail is cut at x_max where the
@@ -25,6 +31,12 @@ four Horner sums over ten orders in plain floats and the two immutable
 records: about 4 us for a whole `curvature_closed_form` call, and 0.4 us
 more to build its `GasSpec`, on a 2-vCPU x86-64 container (timeit).
 
+Every other q = 1 boson point, up to the last float below z = 1, has the
+moments 2 Gamma(D/2) Li_(D/2+1-k)(z) in double precision (`_polylog`): up
+to z = 3/4 as a and the excesses, summed like the series route with more
+orders, and above it from the polylogarithms themselves.  The q = 1
+fermion stays on the quadrature.
+
 `quad_vec` is a global-adaptive Gauss-Kronrod 21 integrator in the max norm
 (the QUADPACK error estimate, with the intervals of largest error bisected
 first).  Each refinement step bisects up to 128 intervals and evaluates all
@@ -40,7 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GasSpec, validate_domain
+from . import _polylog
+from .core import BOSON, GasSpec, validate_domain
 from .distributions import CLUSTER_ORDER, cluster_coefficients, cumulant_kernel
 
 __all__ = [
@@ -102,6 +115,9 @@ _EXCESS_WEIGHTS = np.vstack([_ORDERS ** k for k in range(4)]) - [[0.0], [1.0], [
 # n^3 of the last order: its term of d bounds the omitted orders
 _LAST_ORDER_CUBED = (CLUSTER_ORDER + 1.0) ** 3
 _SERIES_REL = 2.0 ** -56
+# est_error of the polylog route relative to d, the largest moment: the
+# moments were measured within 6.3e-16 relative of mpmath
+_POLYLOG_REL = 2.0 ** -48
 
 
 class ToleranceError(RuntimeError):
@@ -116,14 +132,16 @@ class ToleranceError(RuntimeError):
 class MomentSet:
     """The four theta-moment integrals at one (spec, z) with the error estimate.
 
-    route names how they were obtained: "quadrature" or "series" (the
-    cluster expansion at small z).  neval counts integrand evaluations
-    (abscissae) and intervals the final subintervals of the quadrature; both
-    are 0 on the series route and when not recorded.  excess holds
-    (b - a, c - a, d - a) on the series route, summed without forming b, c,
-    d, and is None on the quadrature route, whose moments give no more
-    accurate excesses than their float differences.  Data only:
-    `geometry.curvature_from_moments` forms R from it.
+    route names how they were obtained: "series" (the cluster expansion at
+    small z), "polylog" (the q = 1 boson) or "quadrature".  neval counts
+    integrand evaluations (abscissae) and intervals the final subintervals
+    of the quadrature; both are 0 on the other routes and when not
+    recorded.  excess holds (b - a, c - a, d - a), summed without forming
+    b, c, d, on the series route and on the polylog route up to z = 3/4.
+    It is None elsewhere: the polylogarithms above z = 3/4 and the
+    quadrature's moments give no more accurate excesses than their float
+    differences.  Data only: `geometry.curvature_from_moments` forms R
+    from it.
     """
 
     a: float
@@ -301,6 +319,19 @@ def _series_moments(spec, z):
     return MomentSet(a, a + eb, a + ec, a + ed, est_error, spec, z, 0, 0, "series", (eb, ec, ed))
 
 
+def _polylog_moments(spec, z):
+    """MomentSet of the q = 1 boson, 0 < z < 1, from the polylogarithms:
+    a and the excesses up to z = 3/4, the four moments above it."""
+    two_gamma = _TWO_GAMMA[spec.dimension]
+    if z <= _polylog.DIRECT_MAX:
+        a, eb, ec, ed = (two_gamma * s for s in _polylog.excess_sums(spec.dimension, z))
+        b, c, d, excess = a + eb, a + ec, a + ed, (eb, ec, ed)
+    else:
+        a, b, c, d = (two_gamma * li for li in _polylog.polylogs(spec.dimension, z))
+        excess = None
+    return MomentSet(a, b, c, d, _POLYLOG_REL * d, spec, z, 0, 0, "polylog", excess)
+
+
 def _quadrature_moments(spec, z):
     """MomentSet by adaptive quadrature in u = sqrt(x)."""
     lfun = cumulant_kernel(spec, z)
@@ -322,12 +353,16 @@ def _quadrature_moments(spec, z):
 def moment_integrals(spec, z):
     """MomentSet (a, b, c, d) = int_0^inf x^nu L_k dx, k = 0..3.
 
-    Where the first order of every moment, 2 Gamma(D/2) z, is below
-    ABS_TOL / REL_TOL, the absolute tolerance would bind the quadrature, so
-    the moments are summed from the cluster expansion instead (route
-    "series"; `distributions.cluster_coefficients`), unless its first
-    omitted order is not below 2^-56 of a.  Otherwise they are integrated
-    up to x_max by adaptive quadrature in u = sqrt(x) (route "quadrature").
+    Three routes, tried in this order:
+
+    * "series": where the first order of every moment, 2 Gamma(D/2) z, is
+      below ABS_TOL / REL_TOL, the absolute tolerance would bind the
+      quadrature, so the moments are summed from the cluster expansion
+      (`distributions.cluster_coefficients`), unless its first omitted
+      order is not below 2^-56 of a.
+    * "polylog": every other boson at q = 1, from the polylogarithms in
+      double precision; est_error is 2^-48 of d.
+    * "quadrature": adaptive quadrature in u = sqrt(x) up to x_max.
 
     Raises DomainError outside the physical domain and ToleranceError
     (carrying the achieved error estimate) if the subdivision budget is
@@ -338,4 +373,6 @@ def moment_integrals(spec, z):
         moments = _series_moments(spec, z)
         if moments is not None:
             return moments
+    if spec.q == 1.0 and spec.statistics == BOSON:
+        return _polylog_moments(spec, z)
     return _quadrature_moments(spec, z)

@@ -12,7 +12,6 @@ from qgasgeo import (
     DomainError,
     GasSpec,
     MomentSet,
-    ToleranceError,
     curvature_closed_form,
     curvature_from_moments,
     curvature_sign_boundary,
@@ -431,7 +430,7 @@ class TestBosonEdge:
         got = curvature_closed_form(GasSpec("boson", q, dim), z).R_reduced
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("e", [1e-5, 1e-6])
+    @pytest.mark.parametrize("e", [1e-5, 1e-6, 1e-8, 1e-10, 1e-12])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_q1_matches_polylog_moments(self, dim, e):
         # at D = 3, R diverges at condensation: 110.0 at 1 - z = 1e-6
@@ -440,12 +439,27 @@ class TestBosonEdge:
             want = float(mp_oracle.curvature_from_moments(
                 dim, *mp_oracle.polylog_moments("boson", dim, z)))
         got = curvature_closed_form(GasSpec("boson", 1.0, dim), z).R_reduced
-        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_q1_past_the_quadrature_raises(self, dim):
-        with pytest.raises(ToleranceError):
-            curvature_closed_form(GasSpec("boson", 1.0, dim), 1.0 - 1e-8)
+    def test_q1_d3_divergence(self):
+        # Li_s(1 - e) -> zeta(s) for s > 1 and c, d ~ e^(-1/2), e^(-3/2) give
+        # R (1 - z)^(1/2) -> zeta(3/2) / (10 sqrt(pi) zeta(5/2)), up to O(e^(1/2))
+        z = 1.0 - 1e-12
+        e = 1.0 - z
+        mpmath = mp_oracle.mpmath
+        limit = float(mpmath.zeta(1.5) / (10 * mpmath.sqrt(mpmath.pi) * mpmath.zeta(2.5)))
+        got = curvature_closed_form(GasSpec("boson", 1.0, 3), z).R_reduced
+        assert got * math.sqrt(e) == pytest.approx(limit, rel=2e-6, abs=0.0)
+        assert limit == pytest.approx(0.1098687, rel=1e-6)
+
+    def test_q1_d2_logarithm(self):
+        # a -> 2 Li_2(1) = pi^2 / 3, b = 2 ln(1/e), c ~ 2/e, d ~ 2/e^2 give
+        # R -> (3 / (2 pi^2)) (ln(1/e) - 2), up to O(e ln(1/e)^2)
+        z = 1.0 - 1e-12
+        e = 1.0 - z
+        limit = 3.0 / (2.0 * math.pi ** 2) * (-math.log(e) - 2.0)
+        got = curvature_closed_form(GasSpec("boson", 1.0, 2), z).R_reduced
+        assert got == pytest.approx(limit, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("q,dim,e,want", _q_below_1_edge_cases())
     def test_q_below_1_matches_reference(self, q, dim, e, want):

@@ -24,7 +24,7 @@ def _run_fresh(code):
     return proc.stdout, proc.returncode
 
 
-@pytest.mark.parametrize("module", ["qgasgeo", "qgasgeo.cli", "qgasgeo.checks"])
+@pytest.mark.parametrize("module", ["qgasgeo", "qgasgeo.cli", "qgasgeo.checks", "qgasgeo._polylog"])
 def test_import_loads_neither_mpmath_nor_scipy(module):
     # numpy is the only runtime dependency; mpmath serves the test oracles
     # and scipy parity tests

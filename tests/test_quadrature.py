@@ -6,11 +6,14 @@ import math
 import mp_oracle
 import numpy as np
 import pytest
+from mpmath import mp, mpf, zeta
 
 from qgasgeo import (
     GasSpec,
     ToleranceError,
+    _polylog,
     checks,
+    curvature_closed_form,
     moment_integrals,
     quadrature,
 )
@@ -34,10 +37,67 @@ class TestPolylogOracle:
         assert m.d == pytest.approx(20.0 / 121.0, rel=1e-10)
 
     def test_selfcheck_table_is_the_rounded_polylogs(self):
-        # each of the 48 values the selfcheck compares with is the
+        # each of the 56 values the selfcheck compares with is the
         # polylogarithm at 30 digits rounded once to a double
         for (stat, dim, z), row in checks.POLYLOG_Q1.items():
             assert [float(v) for v in mp_oracle.polylog_moments(stat, dim, z)] == list(row)
+
+    # the quadrature raises ToleranceError from 1 - z = 1e-8 on at q = 1
+    @pytest.mark.parametrize("stat,dim,z", [key for key in checks.POLYLOG_Q1
+                                            if not (key[0] == "boson" and key[2] > 0.99)])
+    def test_quadrature_route_against_table(self, stat, dim, z):
+        # the polylog route answers the q = 1 bosons in moment_integrals, so
+        # the quadrature is checked against the committed values directly
+        m = quadrature._quadrature_moments(GasSpec(stat, 1.0, dim), z)
+        for got, want in zip(m, checks.POLYLOG_Q1[stat, dim, z]):
+            assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+            assert abs(got - want) <= m.est_error
+
+
+# q = 1 boson points of the polylog route: just above the series boundary
+# (5.0e-3 at D = 2, 5.6e-3 at D = 3), the switch at 3/4 with its
+# neighbouring floats, and the edge
+_POLYLOG_CASES = [(2, 5.05e-3)] + list(itertools.product((2, 3), (
+    [5.7e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.6]
+    + [float(np.nextafter(0.75, side)) for side in (0.0, 1.0)]
+    + [0.75, 0.8, 0.9, 0.99, 1.0 - 1e-5, 1.0 - 1e-8, 1.0 - 1e-12])))
+
+
+class TestPolylogRoute:
+    @pytest.mark.parametrize("dim,z", _POLYLOG_CASES)
+    def test_curvature_against_polylog_moments(self, dim, z):
+        r = curvature_closed_form(GasSpec("boson", 1.0, dim), z)
+        assert r.moments.route == "polylog"
+        with mp.workdps(mp_oracle.DIGITS + 8):
+            want = mp_oracle.polylog_moments("boson", dim, z)
+            want_r = float(mp_oracle.curvature_from_moments(dim, *want))
+        assert r.R_reduced == pytest.approx(want_r, rel=1e-14, abs=0.0)
+        for got, w in zip(r.moments, want):
+            assert abs(got - w) <= r.moments.est_error
+        # a and the excesses up to 3/4, the four moments above it
+        assert (r.moments.excess is None) == (z > 0.75)
+        assert (r.moments.neval, r.moments.intervals) == (0, 0)
+
+    def test_zeta_literals(self):
+        # zeta(5/2 - j), recomputed at 40 digits, within one ulp
+        with mp.workdps(40):
+            for j, value in enumerate(_polylog.ZETA_HALF_INTEGERS):
+                exact = zeta(mpf(5) / 2 - j)
+                assert abs(mpf(value) - exact) <= math.ulp(value), j
+
+    @pytest.mark.parametrize("stat,q", [
+        (stat, q) for stat in ("boson", "fermion")
+        for q in (0.5, float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0)), 2.0)
+        if (stat, q) != ("boson", 1.0)])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_other_gases_keep_their_routes(self, stat, q, dim):
+        # only the q = 1 boson moves to the polylog route: every other gas
+        # gets, bit for bit, the series where it answers and else the quadrature
+        spec = GasSpec(stat, q, dim)
+        for z in (1e-3, 7e-3, 0.3, 0.9):
+            want = quadrature._series_moments(spec, z) if z < 5e-3 else None
+            want = want or quadrature._quadrature_moments(spec, z)
+            assert repr(moment_integrals(spec, z)) == repr(want)
 
 
 class TestSmallZTermwise:

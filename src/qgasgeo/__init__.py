@@ -22,11 +22,7 @@ from .core import (
     q_bracket,
     validate_domain,
 )
-from .distributions import (
-    ConvergenceError,
-    cumulant_kernel,
-    fermion_h_sums,
-)
+from .distributions import ConvergenceError, cumulant_kernel
 from .geometry import (
     CurvatureResult,
     DegenerateMetricError,
@@ -76,7 +72,6 @@ __all__ = [
     "delta",
     "determinant_curvature_oracle",
     "eta",
-    "fermion_h_sums",
     "fugacity_from_density",
     "metric_tensor",
     "moment_integrals",

@@ -19,19 +19,19 @@ in its numerator.  Just above z = 1/2 the expansion left the D = 3 moments
 up to 1.4e-15 off and R up to 1.8e-14.  With the split at 3/4, R was within
 3.8e-15 of mpmath (the moments within 6.3e-16) at 500 sampled points from
 the series boundary to the last float below 1.  The direct sums cost more
-as z grows: 15 us a point at z = 0.01, 0.17 ms at 3/4.  1 - z is exact for
-z >= 1/2, so ln(1 - z) and (-mu)^(s - 1) keep every digit up to the last
-float below 1.  Imports nothing beyond `math`.
+as z grows.  1 - z is exact for z >= 1/2, so ln(1 - z) and (-mu)^(s - 1)
+keep every digit up to the last float below 1.  Imports nothing beyond
+`math`.
 """
 
 import math
 
-__all__ = ["DIRECT_MAX", "ZETA_HALF_INTEGERS", "excess_sums", "polylogs"]
+__all__ = ["DIRECT_MAX", "TAIL", "ZETA_HALF_INTEGERS", "excess_sums", "polylogs"]
 
 # largest z of the direct sums
 DIRECT_MAX = 0.75
-# relative size of the truncated tails
-_TAIL = 2.0 ** -56
+# relative size of the truncated tails, also of the series route in `quadrature`
+TAIL = 2.0 ** -56
 _PI2_6 = math.pi ** 2 / 6.0
 # zeta(5/2 - j), j = 0..14: mpmath values at 40 digits, each rounded once
 ZETA_HALF_INTEGERS = (
@@ -61,8 +61,9 @@ def excess_sums(dimension, z):
     rest is below rho / (1 - rho) times the last term.
     """
     p = dimension / 2.0
-    # the n = 1 term is z in S0 and 0 in the excesses
-    t0, t1, t2, t3 = [z], [], [], []
+    # w_n = n^(-p-1) z^n from n = 2 on: the n = 1 term is z in S0 and 0 in
+    # the excesses
+    ws = []
     s3 = 0.0
     zn = z
     n = 1
@@ -70,17 +71,16 @@ def excess_sums(dimension, z):
         n += 1
         zn *= z
         w = zn * n ** (-p - 1.0)
+        ws.append(w)
         n3 = n * n * n
         last = (n3 - 1) * w
-        t0.append(w)
-        t1.append((n - 1) * w)
-        t2.append((n * n - 1) * w)
-        t3.append(last)
         s3 += last
         rho = z * (1.0 + 1.0 / n) ** (2.0 - p) * n3 / (n3 - 1)
         # <=: once z^n underflows, the terms and the bound are 0
-        if rho < 1.0 and last * rho <= (1.0 - rho) * _TAIL * s3:
-            return math.fsum(t0), math.fsum(t1), math.fsum(t2), math.fsum(t3)
+        if rho < 1.0 and last * rho <= (1.0 - rho) * TAIL * s3:
+            excesses = zip(*[((m - 1) * w, (m * m - 1) * w, (m * m * m - 1) * w)
+                             for m, w in enumerate(ws, 2)])
+            return (math.fsum([z, *ws]), *map(math.fsum, excesses))
 
 
 def _li2_reflected(z):
@@ -89,7 +89,7 @@ def _li2_reflected(z):
     w = 1.0 - z
     s = t = w
     n = 1
-    while t >= _TAIL * s:
+    while t >= TAIL * s:
         n += 1
         t = w ** n / (n * n)
         s += t

@@ -8,7 +8,7 @@ L_k = theta^k ln F are positive cumulants of the occupation number:
 L1 is a mean, L2 a variance, L3 a third cumulant.
 
 `cumulant_kernel(spec, z)` is the one integrand evaluator: it returns a
-function that maps an array of abscissae x to the rows (L0, L1, L2, L3),
+function that maps abscissae x to an array of rows (L0, L1, L2, L3),
 built from the excess sums (F0 - 1, F1, F2, F3) of `BosonThetaSeries`, which
 never stores a series at its full length, or of the fermion closed form.
 """
@@ -102,10 +102,12 @@ class BosonThetaSeries:
     at q = 1.  M stops at MAX_TERMS, which only a K above it reaches
     (0.99962 < q < 1.00036): ConvergenceError then guards the memory.
 
-    An array of abscissae is evaluated in one pass: the terms of all rows
-    are taken over the widest head of the batch (past a row's own k(x) they
-    are 0.0 at q > 1 and negligible at q < 1), and one matrix product with
-    the weights gives the sums.
+    `excess_sums` takes a scalar or a 1-D array of n abscissae and always
+    returns an (n, 4) array; a scalar is one row.  The whole array is
+    evaluated in one pass: the terms of all rows are taken over the widest
+    head of the batch (past a row's own k(x) they are 0.0 at q > 1 and
+    negligible at q < 1), and one matrix product with the weights gives the
+    sums.
     """
 
     def __init__(self, z, q):
@@ -163,29 +165,22 @@ class BosonThetaSeries:
             self._gap = self._br_inf - self._br
 
     def cut(self, x):
-        """Head length k(x) at x >= 0 and q != 1 (see the class docstring).
-
-        Takes a scalar (returns an int) or an array.  At x = 0 no term
-        vanishes: k(0) is len(_m) for q > 1 and 0 for q < 1, where the sums
-        are the totals T.
+        """Head lengths k(x), an int array, for a float array x >= 0 at q != 1
+        (see the class docstring).  At x = 0 no term vanishes: k(0) is
+        len(_m) for q > 1 and 0 for q < 1, where the sums are the totals T.
         """
-        xs = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
             if self.q > 1.0:
                 # 746 (q^2 - 1) / x may overflow to inf; the minimum then keeps len(_m)
-                t = np.log1p(self._cut_scale / xs) * self._cut_rate
+                t = np.log1p(self._cut_scale / x) * self._cut_rate
             else:
-                t = np.maximum((np.log(xs) + self._cut_log) * self._cut_rate, -2.0)
+                t = np.maximum((np.log(x) + self._cut_log) * self._cut_rate, -2.0)
         # min(int(t) + 2, len(_m)) for t >= -2
-        k = np.minimum(t, len(self._m) - 2).astype(int) + 2
-        return int(k) if k.ndim == 0 else k
+        return np.minimum(t, len(self._m) - 2).astype(int) + 2
 
     def excess_sums(self, x):
-        """(F0 - 1, F1, F2, F3) at x >= 0; F0 - 1 omits the m = 0 term.
-
-        A 1-D array of n abscissae gives an (n, 4) array; a scalar x goes
-        through the same code and gives a tuple of four floats.
-        """
+        """(F0 - 1, F1, F2, F3) at x >= 0 as an (n, 4) array, one row per
+        abscissa of the scalar or 1-D array x; F0 - 1 omits the m = 0 term."""
         xs = _abscissae(x)
         if self.q == 1.0:
             out = np.stack(_q1_sums(self.z * np.exp(-xs)), axis=1)
@@ -196,7 +191,7 @@ class BosonThetaSeries:
             out = np.empty((len(xs), 4))
             for lo in range(0, len(xs), rows):
                 out[lo:lo + rows] = self._block_sums(xs[lo:lo + rows], k[lo:lo + rows])
-        return tuple(out[0].tolist()) if np.ndim(x) == 0 else out
+        return out
 
     def _block_sums(self, x, k):
         width = int(k.max())
@@ -248,13 +243,15 @@ def fermion_h_sums(x, z, q):
     """Fermion sums (F0, F1, F2, F3) from the closed three-term form of h.
 
     F0 = 1 + 2 e^(-x) z + e^(-(q^-2 + 1) x) z^2 and
-    F_k = 2 e^(-x) z + 2^k e^(-(q^-2 + 1) x) z^2 for k >= 1.  Raises
-    DomainError for z and q outside the fermion domain, as `cumulant_kernel`
-    does.
+    F_k = 2 e^(-x) z + 2^k e^(-(q^-2 + 1) x) z^2 for k >= 1, at one scalar
+    x >= 0.  Raises DomainError for z and q outside the fermion domain, as
+    `cumulant_kernel` does, and for an x that is not a scalar >= 0.
     """
     # the dimension does not enter h
     z = validate_domain(GasSpec(FERMION, q, 2), z)
-    s0, f1, f2, f3 = _fermion_excess_sums(z, q)(float(x))[0].tolist()
+    if np.ndim(x) != 0:
+        raise DomainError(f"x must be a scalar >= 0, got {x!r}")
+    s0, f1, f2, f3 = _fermion_excess_sums(z, q)(x)[0].tolist()
     return 1.0 + s0, f1, f2, f3
 
 
@@ -345,13 +342,15 @@ def _cumulants(sums):
 
 
 def cumulant_kernel(spec, z):
-    """Integrand of the moment integrals: 1-D array x -> (n, 4) array of (L0, L1, L2, L3).
+    """The one public integrand of the moment integrals: x -> (n, 4) array
+    of (L0, L1, L2, L3), one row per abscissa of the scalar or 1-D array x.
 
     F is f for bosons and h for fermions, and
     L0 = ln F0, L1 = F1/F0, L2 = F2/F0 - (F1/F0)^2,
     L3 = F3/F0 - 3 (F1/F0) (F2/F0) + 2 (F1/F0)^3.
-    Raises DomainError outside the physical domain and, for bosons,
-    ConvergenceError as BosonThetaSeries does.
+    Raises DomainError outside the physical domain (and the kernel for an
+    x not finite and >= 0) and, for bosons, ConvergenceError as
+    BosonThetaSeries does.
     """
     z = validate_domain(spec, z)
     if spec.statistics == BOSON:
@@ -360,6 +359,6 @@ def cumulant_kernel(spec, z):
         excess_sums = _fermion_excess_sums(z, spec.q)
 
     def kernel(x):
-        return _cumulants(excess_sums(np.atleast_1d(x)))
+        return _cumulants(excess_sums(x))
 
     return kernel

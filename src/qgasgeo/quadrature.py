@@ -26,10 +26,9 @@ it falls back to the quadrature if the first omitted order is not below
 `geometry.curvature_from_moments` forms the curvature.  The coefficients A_n
 depend on the gas alone: `_series_weights` computes them once per
 (statistics, q, D) and keeps them, with the weights n^k - 1 of the excesses
-folded in, as tuples of floats shared by every z; it is the route's one memo.  A series point then costs the domain check,
-four Horner sums over ten orders in plain floats and the two immutable
-records: about 4 us for a whole `curvature_closed_form` call, and 0.4 us
-more to build its `GasSpec`, on a 2-vCPU x86-64 container (timeit).
+folded in, as tuples of floats shared by every z; it is the route's one
+memo.  A series point then costs the domain check, four Horner sums over
+ten orders in plain floats and the two immutable records.
 
 Every other q = 1 boson point, up to the last float below z = 1, has the
 moments 2 Gamma(D/2) Li_(D/2+1-k)(z) in double precision (`_polylog`): up
@@ -114,10 +113,12 @@ _ORDERS = np.arange(1.0, CLUSTER_ORDER + 1.0)
 _EXCESS_WEIGHTS = np.vstack([_ORDERS ** k for k in range(4)]) - [[0.0], [1.0], [1.0], [1.0]]
 # n^3 of the last order: its term of d bounds the omitted orders
 _LAST_ORDER_CUBED = (CLUSTER_ORDER + 1.0) ** 3
-_SERIES_REL = 2.0 ** -56
-# est_error of the polylog route relative to d, the largest moment: the
-# moments were measured within 6.3e-16 relative of mpmath
-_POLYLOG_REL = 2.0 ** -48
+# the series route's bound on its first omitted order relative to a
+_SERIES_REL = _polylog.TAIL
+# est_error of the closed-form routes relative to the largest |moment|: the
+# polylog moments were measured within 6.3e-16 relative of mpmath, the
+# series moments within 2.1e-16 of d
+_CLOSED_FORM_REL = 2.0 ** -48
 
 
 class ToleranceError(RuntimeError):
@@ -304,7 +305,9 @@ def _series_moments(spec, z):
     """MomentSet from the cluster expansion, or None when its first omitted
     order is not below 2^-56 of a.  z is in the domain (`moment_integrals`
     checks it).  a and the excesses are summed by Horner's rule in plain
-    floats, within 1.5 ulps of the exact sums of the same weights."""
+    floats, within 1.5 ulps of the exact sums of the same weights.
+    est_error is 2^-48 of the largest |moment|, which bounds the rounding
+    and, far more than enough, the omitted orders."""
     rows, last = _series_weights(spec.statistics, spec.q, spec.dimension)
     a = eb = ec = ed = 0.0
     for wa, wb, wc, wd in rows:
@@ -312,11 +315,12 @@ def _series_moments(spec, z):
         eb = (eb + wb) * z
         ec = (ec + wc) * z
         ed = (ed + wd) * z
-    est_error = abs(last * z ** (CLUSTER_ORDER + 1)) * _LAST_ORDER_CUBED
-    if not est_error < _SERIES_REL * a:
+    if not abs(last * z ** (CLUSTER_ORDER + 1)) * _LAST_ORDER_CUBED < _SERIES_REL * a:
         return None
+    b, c, d = a + eb, a + ec, a + ed
+    est_error = _CLOSED_FORM_REL * max(abs(a), abs(b), abs(c), abs(d))
     # neval and intervals are 0 on this route
-    return MomentSet(a, a + eb, a + ec, a + ed, est_error, spec, z, 0, 0, "series", (eb, ec, ed))
+    return MomentSet(a, b, c, d, est_error, spec, z, 0, 0, "series", (eb, ec, ed))
 
 
 def _polylog_moments(spec, z):
@@ -329,7 +333,8 @@ def _polylog_moments(spec, z):
     else:
         a, b, c, d = (two_gamma * li for li in _polylog.polylogs(spec.dimension, z))
         excess = None
-    return MomentSet(a, b, c, d, _POLYLOG_REL * d, spec, z, 0, 0, "polylog", excess)
+    # d is the largest moment
+    return MomentSet(a, b, c, d, _CLOSED_FORM_REL * d, spec, z, 0, 0, "polylog", excess)
 
 
 def _quadrature_moments(spec, z):
@@ -359,7 +364,8 @@ def moment_integrals(spec, z):
       below ABS_TOL / REL_TOL, the absolute tolerance would bind the
       quadrature, so the moments are summed from the cluster expansion
       (`distributions.cluster_coefficients`), unless its first omitted
-      order is not below 2^-56 of a.
+      order is not below 2^-56 of a; est_error is 2^-48 of the largest
+      |moment|.
     * "polylog": every other boson at q = 1, from the polylogarithms in
       double precision; est_error is 2^-48 of d.
     * "quadrature": adaptive quadrature in u = sqrt(x) up to x_max.

@@ -13,22 +13,27 @@ from qgasgeo import (
     DomainError,
     GasSpec,
     cumulant_kernel,
-    fermion_h_sums,
     q_bracket,
 )
 from qgasgeo.core import LOG_MAX
-from qgasgeo.distributions import SERIES_TOL, BosonThetaSeries, _q1_sums
+from qgasgeo.distributions import (
+    SERIES_TOL,
+    BosonThetaSeries,
+    _fermion_excess_sums,
+    _q1_sums,
+    fermion_h_sums,
+)
 from qgasgeo.quadrature import _GK21_NODES
 
 
 class TestBosonThetaSums:
     def test_x0_geometric_identity(self):
         # sum (m+1) t^m = (1-t)^(-2), so F0 - 1 = 3 at t = 1/2
-        s0, _, _, _ = BosonThetaSeries(0.5, 0.7).excess_sums(0.0)
+        s0, _, _, _ = BosonThetaSeries(0.5, 0.7).excess_sums(0.0)[0]
         assert s0 == pytest.approx(3.0, rel=1e-14)
 
     def test_q1_derivative_geometric_sum(self):
-        s0, _, _, _ = BosonThetaSeries(0.5, 1.0).excess_sums(1.0)
+        s0, _, _, _ = BosonThetaSeries(0.5, 1.0).excess_sums(1.0)[0]
         want = (1.0 - 0.5 * math.exp(-1.0)) ** -2
         assert 1.0 + s0 == pytest.approx(want, rel=1e-14)
 
@@ -37,14 +42,14 @@ class TestBosonThetaSums:
         for z in (0.1, 0.5, 0.9):
             series = BosonThetaSeries(z, 1.0)
             for x in np.linspace(0.0, 50.0, 26):
-                s0, _, _, _ = series.excess_sums(float(x))
+                s0, _, _, _ = series.excess_sums(float(x))[0]
                 want = (1.0 - z * math.exp(-x)) ** -2
                 assert abs(1.0 + s0 - want) < 1e-12
 
     def test_q2_brute_force_values(self):
         # 50-digit 300-term direct summation; {m} = (4^m - 1)/3 makes the
         # terms decay double-exponentially
-        s0, f1, f2, f3 = BosonThetaSeries(0.5, 2.0).excess_sums(1.0)
+        s0, f1, f2, f3 = BosonThetaSeries(0.5, 2.0).excess_sums(1.0)[0]
         want = (1.3729329017998844433, 0.37798636280745458643,
                 0.38809328558085091545, 0.40830713340241170186)
         for g, w in zip((1.0 + s0, f1, f2, f3), want):
@@ -52,7 +57,7 @@ class TestBosonThetaSums:
 
     def test_large_q_bracket_overflow_is_benign(self):
         # {m} overflows to inf for q = 50 at modest m; e^(-x inf) = 0 terms
-        F = BosonThetaSeries(0.9, 50.0).excess_sums(2.0)
+        F = BosonThetaSeries(0.9, 50.0).excess_sums(2.0)[0]
         assert all(math.isfinite(v) for v in F)
         assert F[0] >= 0.0
 
@@ -115,6 +120,11 @@ class TestFermionHSums:
 
         want = message(lambda: cumulant_kernel(GasSpec("fermion", q, 2), z))
         assert message(lambda: fermion_h_sums(1.0, z, q)) == want
+
+    @pytest.mark.parametrize("x", [np.array([1.0, 2.0]), np.array([1.0]), [1.0]])
+    def test_rejects_non_scalar_abscissa(self, x):
+        with pytest.raises(DomainError, match="x must be a scalar >= 0"):
+            fermion_h_sums(x, 0.5, 1.0)
 
 
 class TestLogMoments:
@@ -180,19 +190,19 @@ class TestKernelTruncation:
 
     @pytest.mark.parametrize("w", [1e-12, 1e-6, 0.01, 0.3, 0.9, 0.999])
     def test_q1_closed_form_matches_raw_series(self, w):
-        got = BosonThetaSeries(w, 1.0).excess_sums(0.0)
+        got = BosonThetaSeries(w, 1.0).excess_sums(0.0)[0]
         want = _raw_excess_sums(w, 1.0, 0.0, _doubling_rule_length(w))
         for g, v in zip(got, want):
             assert g == pytest.approx(v, rel=1e-14, abs=0.0)
         # and at x > 0, where w = z e^(-x)
-        got = BosonThetaSeries(0.9999, 1.0).excess_sums(-math.log(w / 0.9999))
+        got = BosonThetaSeries(0.9999, 1.0).excess_sums(-math.log(w / 0.9999))[0]
         for g, v in zip(got, want):
             assert g == pytest.approx(v, rel=1e-14, abs=0.0)
 
     def test_q1_excess_without_cancellation(self):
         # (1 - w)^(-2) - 1 would lose about 5e-5 relative at w = 1e-12
         w = 1e-12
-        s0 = BosonThetaSeries(w, 1.0).excess_sums(0.0)[0]
+        s0 = BosonThetaSeries(w, 1.0).excess_sums(0.0)[0, 0]
         assert s0 == pytest.approx(2.0 * w + 3.0 * w * w, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("q", [1.01, 1.15, 2.0, 1000.0])
@@ -204,10 +214,10 @@ class TestKernelTruncation:
         br = np.asarray(q_bracket(m, q))
         for x in np.geomspace(1e-8, 50.0, 25):
             x = float(x)
-            k = series.cut(x)
+            k = series.cut(np.array([x]))[0]
             with np.errstate(over="ignore"):
                 assert np.all(np.exp(-x * br[k:]) == 0.0)
-            for g, v in zip(series.excess_sums(x), _raw_excess_sums(z, q, x, M)):
+            for g, v in zip(series.excess_sums(x)[0], _raw_excess_sums(z, q, x, M)):
                 assert g == pytest.approx(v, rel=1e-14, abs=0.0)
 
     def test_cut_survives_overflowing_ratio(self):
@@ -215,7 +225,7 @@ class TestKernelTruncation:
         series = BosonThetaSeries(0.5, 1000.0)
         x = 5e-324
         want = _raw_excess_sums(0.5, 1000.0, x, len(series._m))
-        for g, v in zip(series.excess_sums(x), want):
+        for g, v in zip(series.excess_sums(x)[0], want):
             assert g == pytest.approx(v, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("q", [0.5, 0.8, 0.99])
@@ -228,7 +238,7 @@ class TestKernelTruncation:
             for x in (1e-6, 0.01, 1.0, 30.0):
                 want = mp_oracle.boson_sums(mpf(x), mpf(z), mpf(q) ** 2,
                                             mp.prec + mp_oracle.GUARD_BITS)
-                for g, v in zip(series.excess_sums(x), want):
+                for g, v in zip(series.excess_sums(x)[0], want):
                     assert g == pytest.approx(float(v), rel=1e-14, abs=0.0)
 
 
@@ -275,7 +285,7 @@ class TestArrayKernel:
         x = (c[:, None] + h[:, None] * _GK21_NODES).ravel()
         assert len(x) * series.cut(x).max() > 4 * 2 ** 20
         batch = series.excess_sums(x)
-        rows = np.array([series.excess_sums(float(v)) for v in x])
+        rows = np.array([series.excess_sums(float(v))[0] for v in x])
         # BLAS orders a many-row product differently from a one-row product;
         # all terms are positive, so both lie within K ulps of the exact sum
         tol = len(series._m) * np.finfo(float).eps
@@ -309,6 +319,17 @@ class TestArrayKernel:
         for xi, row in zip(x, rows):
             want = kernel(np.array([xi]))[0]
             np.testing.assert_allclose(row, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("excess_sums", [BosonThetaSeries(0.9, q).excess_sums
+                                             for q in (0.5, 1.0, 2.0)]
+                             + [_fermion_excess_sums(0.9, 2.0)],
+                             ids=["boson-0.5", "boson-1", "boson-2", "fermion-2"])
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 40.0])
+    def test_scalar_abscissa_is_one_row(self, excess_sums, x):
+        # one calling convention: a float is the array of one abscissa
+        got = excess_sums(x)
+        assert isinstance(got, np.ndarray) and got.shape == (1, 4)
+        assert got.tobytes() == excess_sums(np.array([x])).tobytes()
 
     def test_rejects_negative_or_nan_abscissa(self):
         kernel = cumulant_kernel(GasSpec("boson", 1.15, 2), 0.5)

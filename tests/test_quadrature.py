@@ -137,10 +137,12 @@ class TestMomentStructure:
             prev = m
 
     @pytest.mark.parametrize("stat,z", [
-        ("boson", 0.5), ("boson", 0.999), ("fermion", 2.0), ("fermion", 100.0)])
+        ("boson", 0.5), ("boson", 0.999), ("fermion", 2.0), ("fermion", 100.0),
+        ("boson", 1e-3), ("fermion", 1e-3)])
     @pytest.mark.parametrize("dim", [3, 2])
     def test_est_error_bounds_true_error(self, stat, z, dim):
-        # the reported error estimate covers the distance to the polylogarithms
+        # the reported error estimate covers the distance to the
+        # polylogarithms, on the series route (z = 1e-3) its rounding too
         spec = GasSpec(stat, 1.0, dim)
         m = moment_integrals(spec, z)
         for got, want in zip(m, mp_oracle.polylog_moments(stat, dim, z)):

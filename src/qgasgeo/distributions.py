@@ -11,6 +11,8 @@ L1 is a mean, L2 a variance, L3 a third cumulant.
 function that maps abscissae x to an array of rows (L0, L1, L2, L3),
 built from the excess sums (F0 - 1, F1, F2, F3) of `BosonThetaSeries`, which
 never stores a series at its full length, or of the fermion closed form.
+`cumulant_bound(spec, z, x)` bounds max_k |L_k(x)| in closed form, so that
+the quadrature can certify its tail cut without a kernel call.
 """
 
 import functools
@@ -33,6 +35,7 @@ __all__ = [
     "CLUSTER_ORDER",
     "ConvergenceError",
     "cluster_coefficients",
+    "cumulant_bound",
     "cumulant_kernel",
     "fermion_h_sums",
 ]
@@ -362,3 +365,33 @@ def cumulant_kernel(spec, z):
         return _cumulants(excess_sums(x))
 
     return kernel
+
+
+def cumulant_bound(spec, z, x):
+    """An upper bound on max_k |L_k(x)| at one float x >= 0 for z in spec's
+    domain, or inf where a bound E_k on the excess sums (F0 - 1, F1, F2, F3)
+    that the kernel forms is not below 1.  For every x >= 0:
+
+    * boson, q >= 1: {m} >= m, so E_k(x) <= S_k(z e^(-x)), the q = 1 sums
+      of `_q1_sums`;
+    * boson, q < 1: {1} = 1 and {m} >= 1 + q^2 for m >= 2, so
+      E_k(x) <= e^(-x) (2 z + e^(-q^2 x) (S_k(z) - 2 z));
+    * fermion: E_k = 2 z e^(-x) + 2^k z^2 e^(-(q^-2 + 1) x), exactly.
+
+    As F0 >= 1, |L0| <= E0, |L1| <= E1, 0 <= L2 <= E2 and
+    |L3| <= E3 + 3 E1 E2 + 2 E1^3; below 1 the cube cannot overflow.
+    """
+    if spec.statistics == FERMION:
+        u = 2.0 * z * math.exp(-x)
+        v = z * z * math.exp(-(_inverse_square(spec.q) + 1.0) * x)
+        sums = (u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v)
+    elif spec.q >= 1.0:
+        sums = _q1_sums(z * math.exp(-x))
+    else:
+        head = 2.0 * z * math.exp(-x)
+        rest = math.exp(-(1.0 + spec.q * spec.q) * x)
+        sums = [head + rest * (total - 2.0 * z) for total in _q1_sums(z)]
+    e0, e1, e2, e3 = sums
+    if not max(sums) < 1.0:
+        return math.inf
+    return max(e0, e1, e2, e3 + 3.0 * e1 * e2 + 2.0 * e1 ** 3)

@@ -14,9 +14,15 @@ precision.  `BosonThetaSeries` has closed forms at q = 1 as well, but
 a direct call of the quadrature integrates it.  Both dimensions integrate 2 u^(2 nu + 1) L_k(u^2) du
 in u = sqrt(x): it removes the x^(1/2) endpoint factor at D = 3 and widens
 the features near x = 0 at D = 2 (a small-q fermion steps at x ~ q^2, a
-large-q boson at x ~ q^-2).  The infinite tail is cut at x_max where the
-k = 0 integrand has fallen below ABS_TOL (verified for k = 1..3 and enlarged
-if needed); beyond it every L_k decays like e^(-x).
+large-q boson at x ~ q^-2).  The infinite tail is cut at x_max, where
+max_k |L_k| x^nu is below ABS_TOL; beyond it every L_k decays like e^(-x).
+x_max starts at ln(max(2z, 2) / ABS_TOL) + 5, where the leading tail
+2 z e^(-x) of both statistics is at most e^-5 ABS_TOL.  It stays there
+without a kernel call where `distributions.cumulant_bound`, a closed-form
+bound on max_k |L_k| from the brackets' structure, times x^nu is below
+ABS_TOL / 2, the other half left for the kernel's rounding.  Elsewhere
+(bosons at q < 1 near z = 1, fermions at large z) the kernel is probed at
+x_max, which grows by 1.25 until the probe is below ABS_TOL.
 
 Where the first order of the moments, 2 Gamma(D/2) z, is below
 ABS_TOL / REL_TOL, the absolute tolerance would bind, so `moment_integrals`
@@ -53,7 +59,7 @@ import numpy as np
 
 from . import _polylog
 from .core import BOSON, GasSpec, validate_domain
-from .distributions import CLUSTER_ORDER, cluster_coefficients, cumulant_kernel
+from .distributions import CLUSTER_ORDER, cluster_coefficients, cumulant_bound, cumulant_kernel
 
 __all__ = [
     "MomentSet",
@@ -102,7 +108,9 @@ _BATCH = 128
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 200
-_X_MAX_PAD = 5.0  # added to the analytic tail cutoff ln(max(2z, 2) / ABS_TOL)
+# the tail cutoff starts at ln(max(2z, 2) / ABS_TOL) + _X_MAX_PAD, past which
+# the leading tail 2 z e^(-x) of both statistics is below e^-5 ABS_TOL
+_X_MAX_PAD = 5.0
 # 2 Gamma(D/2) by dimension: the first order of every moment is 2 Gamma(D/2) z
 _TWO_GAMMA = {2: 2.0 * math.gamma(1.0), 3: 2.0 * math.gamma(1.5)}
 # orders n = 1..CLUSTER_ORDER of the cluster expansion that are summed; order
@@ -141,8 +149,9 @@ class MomentSet:
     b, c, d, on the series route and on the polylog route up to z = 3/4.
     It is None elsewhere: the polylogarithms above z = 3/4 and the
     quadrature's moments give no more accurate excesses than their float
-    differences.  Data only: `geometry.curvature_from_moments` forms R
-    from it.
+    differences.  x_max is the quadrature's tail cutoff, the upper limit of
+    the integrals in x, and 0.0 on the other routes.  Data only:
+    `geometry.curvature_from_moments` forms R from it.
     """
 
     a: float
@@ -156,9 +165,10 @@ class MomentSet:
     intervals: int = 0
     route: str = "quadrature"
     excess: tuple = None
+    x_max: float = 0.0
 
     def __init__(self, a, b, c, d, est_error, spec, z, neval=0, intervals=0,
-                 route="quadrature", excess=None):
+                 route="quadrature", excess=None, x_max=0.0):
         # fills the instance dict directly: the generated frozen __init__
         # sets each field through object.__setattr__, about a microsecond
         # more per record; assignment after construction still raises
@@ -166,7 +176,7 @@ class MomentSet:
         fields["a"], fields["b"], fields["c"], fields["d"] = a, b, c, d
         fields["est_error"], fields["spec"], fields["z"] = est_error, spec, z
         fields["neval"], fields["intervals"] = neval, intervals
-        fields["route"], fields["excess"] = route, excess
+        fields["route"], fields["excess"], fields["x_max"] = route, excess, x_max
 
     def __iter__(self):
         # unpack as a, b, c, d
@@ -271,15 +281,18 @@ def quad_vec(f, a, b):
     return total, global_error + rounding_error, QuadInfo(neval, intervals, success)
 
 
-def _tail_cutoff(lfun, nu, z):
-    # leading tail is 2 z e^(-x) for both statistics; grow until all four clear ABS_TOL
+def _tail_cutoff(spec, z, lfun):
+    # x_max where max_k |L_k| max(x^nu, 1) < ABS_TOL: the start when the
+    # bound certifies it (see the module docstring), else probed by lfun
     x_max = math.log(max(2.0 * z, 2.0) / ABS_TOL) + _X_MAX_PAD
-    while np.max(np.abs(lfun(np.array([x_max])))) * max(x_max ** nu, 1.0) >= ABS_TOL:
+    if cumulant_bound(spec, z, x_max) * max(x_max ** spec.nu, 1.0) < ABS_TOL / 2.0:
+        return x_max
+    while np.max(np.abs(lfun(np.array([x_max])))) * max(x_max ** spec.nu, 1.0) >= ABS_TOL:
         x_max *= 1.25
         if x_max > 1e6:
             raise ToleranceError(
-                f"no integrand decay below abs_tol = {ABS_TOL} by x = {x_max:.3g}",
-                est_error=math.inf)
+                f"no integrand decay below abs_tol = {ABS_TOL} for {spec} at z = {z} "
+                f"by x = {x_max:.3g}", est_error=math.inf)
     return x_max
 
 
@@ -340,7 +353,7 @@ def _polylog_moments(spec, z):
 def _quadrature_moments(spec, z):
     """MomentSet by adaptive quadrature in u = sqrt(x)."""
     lfun = cumulant_kernel(spec, z)
-    x_max = _tail_cutoff(lfun, spec.nu, z)
+    x_max = _tail_cutoff(spec, z, lfun)
 
     def integrand(u):
         return (2.0 * u ** (2.0 * spec.nu + 1.0))[:, None] * lfun(u * u)
@@ -352,7 +365,7 @@ def _quadrature_moments(spec, z):
             f"estimated error {err:.3e}", est_error=float(err))
     a, b, c, d = (float(v) for v in res)
     return MomentSet(a=a, b=b, c=c, d=d, est_error=float(err), spec=spec, z=z,
-                     neval=info.neval, intervals=len(info.intervals))
+                     neval=info.neval, intervals=len(info.intervals), x_max=x_max)
 
 
 def moment_integrals(spec, z):

@@ -5,11 +5,14 @@ log-uniform in [1e-6, 1e6] for fermions.  At every drawn point R is finite
 or one of the documented exceptions is raised; where R is returned, det g > 0
 and the closed form agrees with the determinant oracle to the 1e-5 of
 `qgasgeo.checks`.  At log10 z in [-150, -20], R is its z -> 0 limit
--(1 + D/2) B(q); at z <= 2^-511 it raises DomainError.
+-(1 + D/2) B(q); at z <= 2^-511 it raises DomainError.  At x log-uniform
+in [1e-8, 1e3], `distributions.cumulant_bound` bounds max_k |L_k(x)|.
 """
 
 import math
+import sys
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -29,11 +32,13 @@ from qgasgeo import (  # noqa: E402
     metric_tensor,
     zeta_fermion_d2,
 )
+from qgasgeo.distributions import cumulant_bound, cumulant_kernel  # noqa: E402
 
 _LOG10_Q = st.floats(min_value=-3.0, max_value=3.0)
 _BOSON_Z = st.floats(min_value=1e-6, max_value=1.0 - 1e-3)
 _FERMION_Z = st.floats(min_value=-6.0, max_value=6.0).map(lambda u: 10.0 ** u)
 _DILUTE_Z = st.floats(min_value=-150.0, max_value=-20.0).map(lambda u: 10.0 ** u)
+_X = st.floats(min_value=-8.0, max_value=3.0).map(lambda u: 10.0 ** u)
 # z at or below 2^-511, down to the smallest subnormal
 _Z_LIMIT = 2.0 ** -511
 _BELOW_LIMIT_Z = st.floats(min_value=-1074.0, max_value=-511.0).map(lambda u: 2.0 ** u)
@@ -106,3 +111,20 @@ def test_dilute_limit(spec, z):
 def test_at_or_below_z_limit_raises(spec, z):
     with pytest.raises(DomainError, match="R needs z > 1.492e-154"):
         curvature_closed_form(spec, z)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_points(), _X)
+@seed(20233)
+@example(point=(GasSpec("fermion", 1000.0, 2), 4.74e153), x=1e-8)
+def test_cumulant_bound_holds(point, x):
+    # the tail cutoff keeps its start without a kernel call where this bound
+    # is below ABS_TOL / 2.  The kernel's brackets carry a few ulps, which
+    # e^(-x {m}) turns into a few x ulps of L_k; a subnormal bound has too
+    # few digits to compare, and past E_k = 1 the bound is inf
+    spec, z = point
+    bound = cumulant_bound(spec, z, x)
+    if bound < sys.float_info.min:
+        return
+    largest = np.abs(cumulant_kernel(spec, z)(x)).max()
+    assert largest <= bound * (1.0 + 4.0 * (1.0 + x) * sys.float_info.epsilon)

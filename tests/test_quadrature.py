@@ -196,6 +196,15 @@ class TestBatchedIntegrator:
         assert m.neval == 903
         assert m.intervals == 22
 
+    def test_tail_cutoff_on_moment_set(self):
+        # the start ln(2 / ABS_TOL) + 5 where the bound certifies it; at
+        # q = 0.5 near z = 1 the probe grows it twice by 1.25
+        start = math.log(2.0 / quadrature.ABS_TOL) + quadrature._X_MAX_PAD
+        assert moment_integrals(GasSpec("boson", 1.15, 2), 0.97).x_max == start
+        assert moment_integrals(GasSpec("boson", 0.5, 2), 0.999).x_max > start
+        assert moment_integrals(GasSpec("boson", 1.0, 2), 0.5).x_max == 0.0
+        assert moment_integrals(GasSpec("boson", 1.15, 2), 1e-4).x_max == 0.0
+
     def test_subdivision_budget_raises_with_estimate(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
         with pytest.raises(ToleranceError) as info:
@@ -216,12 +225,17 @@ class TestBatchedIntegrator:
             return lambda x: np.ones((len(x), 4))
 
         monkeypatch.setattr(quadrature, "cumulant_kernel", flat_kernel)
-        with pytest.raises(ToleranceError, match=r"no integrand decay .* by x = ") as info:
-            moment_integrals(GasSpec("boson", 1.15, 2), 0.5)
+        # at q = 0.5 near z = 1 the bound cannot certify the start, so the
+        # flat kernel is probed
+        with pytest.raises(ToleranceError, match=r"no integrand decay .* for GasSpec\(.*"
+                           r"q=0\.5.*\) at z = 0\.999 by x = ") as info:
+            moment_integrals(GasSpec("boson", 0.5, 2), 0.999)
         assert info.value.est_error == math.inf
         assert float(str(info.value).rsplit("x = ", 1)[1]) > 1e6
 
-    def test_one_kernel_call_per_refinement_step(self, monkeypatch):
+    @staticmethod
+    def _kernel_calls(spec, z, monkeypatch):
+        """The MomentSet at (spec, z) and the abscissa count of each kernel call."""
         calls = []
         kernel = quadrature.cumulant_kernel
 
@@ -235,9 +249,19 @@ class TestBatchedIntegrator:
             return f
 
         monkeypatch.setattr(quadrature, "cumulant_kernel", counting_kernel)
-        m = moment_integrals(GasSpec("boson", 1.15, 2), 0.97)
-        # one tail-cutoff probe, the first panel, then both halves of every
-        # interval a step bisects in one call
-        assert calls[:2] == [1, 21]
-        assert sum(calls[1:]) == m.neval
-        assert all(n % 42 == 0 for n in calls[2:])
+        return moment_integrals(spec, z), calls
+
+    def test_one_kernel_call_per_refinement_step(self, monkeypatch):
+        m, calls = self._kernel_calls(GasSpec("boson", 1.15, 2), 0.97, monkeypatch)
+        # the bound certifies the tail cutoff, so no probe: the first panel,
+        # then both halves of every interval a step bisects in one call
+        assert calls[0] == 21
+        assert sum(calls) == m.neval
+        assert all(n % 42 == 0 for n in calls[1:])
+
+    def test_tail_cutoff_probes_where_the_bound_cannot_certify(self, monkeypatch):
+        m, calls = self._kernel_calls(GasSpec("boson", 0.5, 2), 0.999, monkeypatch)
+        # three one-abscissa probes grow x_max twice by 1.25, then the panels
+        assert calls[:4] == [1, 1, 1, 21]
+        assert sum(calls[3:]) == m.neval
+        assert all(n % 42 == 0 for n in calls[4:])

@@ -20,13 +20,13 @@ import math
 
 import numpy as np
 
+from ._polylog import TAIL
 from .core import (
     BOSON,
     FERMION,
     LOG_MAX,
     DomainError,
     GasSpec,
-    _require_positive,
     q_bracket,
     validate_domain,
 )
@@ -42,7 +42,8 @@ __all__ = [
 
 # Truncating when terms fall below SERIES_TOL times the full sum keeps the
 # absolute series error near the rounding floor, which the quadrature
-# tolerances (1e-12 absolute) require.
+# tolerances (1e-12 absolute) require.  MAX_TERMS caps both the terms built
+# and the exponentials of one row block of `BosonThetaSeries.excess_sums`.
 SERIES_TOL = 1e-16
 MAX_TERMS = 10 ** 6
 
@@ -51,11 +52,6 @@ CLUSTER_ORDER = 10
 
 # e^(-t) rounds to exactly 0.0 in double precision for t >= 746.
 _EXP_ZERO = 746.0
-# e^t rounds to exactly 1.0 for 0 <= t < 1e-17 (half an ulp of 1 is 1.1e-16).
-_SATURATED_INV = 1e17
-# An array of abscissae is evaluated in row blocks whose exponential matrix
-# holds at most this many elements (a head near q = 1 can reach MAX_TERMS columns).
-_BLOCK = 2 ** 20
 
 
 class ConvergenceError(RuntimeError):
@@ -90,8 +86,9 @@ class BosonThetaSeries:
       F_k(x) = e^(-x{inf}) T_k + sum_m w_km e^(-x{m}) (-expm1(-x g_m)),
       with the weights w_km = (m+1) m^k z^m and T_k the full sums (x = 0).
       Every term is >= 0, so plain floats suffice.  From the k(x) where
-      x g_m < 1e-17 on, a term is below 1e-17 of its share of
-      e^(-x{inf}) T_k, so only the first k(x) are summed.
+      x g_m < 2^-56 (`_polylog.TAIL`) on, e^(x g_m) rounds to 1 and a term
+      is below 2^-56 of its share of e^(-x{inf}) T_k, so only the first
+      k(x) are summed.
     * q = 1: the closed forms of `_q1_sums` at w = z e^(-x); no term is built.
 
     K, the longest head of any abscissa, depends on q alone: past it
@@ -106,18 +103,16 @@ class BosonThetaSeries:
     (0.99962 < q < 1.00036): ConvergenceError then guards the memory.
 
     `excess_sums` takes a scalar or a 1-D array of n abscissae and always
-    returns an (n, 4) array; a scalar is one row.  The whole array is
-    evaluated in one pass: the terms of all rows are taken over the widest
-    head of the batch (past a row's own k(x) they are 0.0 at q > 1 and
-    negligible at q < 1), and one matrix product with the weights gives the
-    sums.
+    returns an (n, 4) array; a scalar is one row.  The array is evaluated
+    in row blocks of at most MAX_TERMS exponentials, each in one pass: the
+    terms of all its rows are taken over the block's widest head, `cut`
+    (past a row's own k(x) they are 0.0 at q > 1 and below 2^-56 of the
+    sum at q < 1), and one matrix product with the weights gives the sums.
     """
 
     def __init__(self, z, q):
-        _require_positive(q, "deformation parameter q")
-        if not 0.0 < z < 1.0:
-            raise DomainError(f"boson series requires 0 < z < 1, got z = {z!r}")
-        self.z = z
+        # the dimension does not enter the series
+        self.z = z = validate_domain(GasSpec(BOSON, q, 2), z)
         self.q = q
         totals = _q1_sums(z)
         self._totals = np.array(totals)
@@ -135,7 +130,7 @@ class BosonThetaSeries:
             K = int(LOG_MAX * self._cut_rate) + 2
         else:
             self._br_inf = -1.0 / math.expm1(log_q2)  # {m} as m -> inf
-            self._cut_log = math.log(_SATURATED_INV * self._br_inf)
+            self._cut_log = math.log(self._br_inf / TAIL)
             self._cut_rate = -1.0 / log_q2
             # the head is longest at the largest x
             K = int((LOG_MAX + self._cut_log) * self._cut_rate) + 2
@@ -168,36 +163,38 @@ class BosonThetaSeries:
             self._gap = self._br_inf - self._br
 
     def cut(self, x):
-        """Head lengths k(x), an int array, for a float array x >= 0 at q != 1
-        (see the class docstring).  At x = 0 no term vanishes: k(0) is
-        len(_m) for q > 1 and 0 for q < 1, where the sums are the totals T.
+        """Head length of a block of abscissae, an int, for a float array
+        x >= 0 at q != 1: the longest k(x) of the block (see the class
+        docstring).  k(x) falls with x at q > 1 and rises at q < 1, so it is
+        k at the smallest abscissa for q > 1 and at the largest for q < 1.
+        At x = 0 no term vanishes: k(0) is len(_m) for q > 1 and 0 for
+        q < 1, where the sums are the totals T.
         """
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.q > 1.0:
-                # 746 (q^2 - 1) / x may overflow to inf; the minimum then keeps len(_m)
-                t = np.log1p(self._cut_scale / x) * self._cut_rate
+                # 746 (q^2 - 1) / x is inf at x = 0 or on overflow, and NaN
+                # for an empty block above q = 1.34e154 (inf / inf)
+                t = np.log1p(self._cut_scale / x.min(initial=math.inf)) * self._cut_rate
             else:
-                t = np.maximum((np.log(x) + self._cut_log) * self._cut_rate, -2.0)
-        # min(int(t) + 2, len(_m)) for t >= -2
-        return np.minimum(t, len(self._m) - 2).astype(int) + 2
+                t = max((np.log(x.max(initial=0.0)) + self._cut_log) * self._cut_rate, -2.0)
+        # min(int(t) + 2, len(_m)) for t >= -2; an inf or NaN t keeps len(_m)
+        return int(min(len(self._m) - 2, t)) + 2
 
     def excess_sums(self, x):
         """(F0 - 1, F1, F2, F3) at x >= 0 as an (n, 4) array, one row per
         abscissa of the scalar or 1-D array x; F0 - 1 omits the m = 0 term."""
         xs = _abscissae(x)
         if self.q == 1.0:
-            out = np.stack(_q1_sums(self.z * np.exp(-xs)), axis=1)
-        else:
-            k = self.cut(xs)
-            # row blocks keep the exponential matrix within _BLOCK elements
-            rows = max(_BLOCK // max(int(k.max(initial=0)), 1), 1)
-            out = np.empty((len(xs), 4))
-            for lo in range(0, len(xs), rows):
-                out[lo:lo + rows] = self._block_sums(xs[lo:lo + rows], k[lo:lo + rows])
+            return np.stack(_q1_sums(self.z * np.exp(-xs)), axis=1)
+        # row blocks keep the exponential matrix within MAX_TERMS elements
+        rows = MAX_TERMS // max(self.cut(xs), 1)
+        out = np.empty((len(xs), 4))
+        for lo in range(0, len(xs), rows):
+            out[lo:lo + rows] = self._block_sums(xs[lo:lo + rows])
         return out
 
-    def _block_sums(self, x, k):
-        width = int(k.max())
+    def _block_sums(self, x):
+        width = self.cut(x)
         # x = 0 against {m} = inf is NaN at q > 1; those rows are replaced below.
         # Past the head of a large x, x {m} overflows to inf, and e^(-inf) = 0.
         with np.errstate(invalid="ignore", over="ignore"):
@@ -234,12 +231,18 @@ def _fermion_excess_sums(z, q):
     rate = _inverse_square(q) + 1.0
 
     def excess_sums(x):
-        xs = _abscissae(x)
-        u = 2.0 * z * np.exp(-xs)
-        v = z * z * np.exp(-rate * xs)
-        return np.stack((u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v), axis=1)
+        return np.stack(_fermion_sums(z, rate, _abscissae(x), np.exp), axis=1)
 
     return excess_sums
+
+
+def _fermion_sums(z, rate, x, exp):
+    """(u + v, u + 2 v, u + 4 v, u + 8 v) with u = 2 z e^(-x) and
+    v = z^2 e^(-rate x): the fermion excess sums at a float x with
+    exp = math.exp or at an array x with exp = np.exp."""
+    u = 2.0 * z * exp(-x)
+    v = z * z * exp(-rate * x)
+    return u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v
 
 
 def fermion_h_sums(x, z, q):
@@ -382,9 +385,7 @@ def cumulant_bound(spec, z, x):
     |L3| <= E3 + 3 E1 E2 + 2 E1^3; below 1 the cube cannot overflow.
     """
     if spec.statistics == FERMION:
-        u = 2.0 * z * math.exp(-x)
-        v = z * z * math.exp(-(_inverse_square(spec.q) + 1.0) * x)
-        sums = (u + v, u + 2.0 * v, u + 4.0 * v, u + 8.0 * v)
+        sums = _fermion_sums(z, _inverse_square(spec.q) + 1.0, x, math.exp)
     elif spec.q >= 1.0:
         sums = _q1_sums(z * math.exp(-x))
     else:

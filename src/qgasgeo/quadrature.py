@@ -6,29 +6,31 @@ quadrature for every other point ("quadrature").
 
 The four integrals are evaluated in one adaptive pass with the vector-valued
 integrand `distributions.cumulant_kernel`, so the four share one evaluation
-of the sums per abscissa.  That kernel sums a boson series only as far as the
-abscissa needs it: at q > 1 the terms past an x-dependent index are exactly
-zero and at q < 1 they are the full sums times e^(-x{inf}) to double
+of the sums per abscissa.  That kernel sums a boson series only as far as
+the abscissa needs it: at q > 1 the terms past an x-dependent index are
+exactly zero and at q < 1 they are the full sums times e^(-x{inf}) to double
 precision.  `BosonThetaSeries` has closed forms at q = 1 as well, but
 `moment_integrals` sends the q = 1 boson to the polylog route below, so only
-a direct call of the quadrature integrates it.  Both dimensions integrate 2 u^(2 nu + 1) L_k(u^2) du
-in u = sqrt(x): it removes the x^(1/2) endpoint factor at D = 3 and widens
-the features near x = 0 at D = 2 (a small-q fermion steps at x ~ q^2, a
-large-q boson at x ~ q^-2).  The infinite tail is cut at x_max, where
-max_k |L_k| x^nu is below ABS_TOL; beyond it every L_k decays like e^(-x).
-x_max starts at ln(max(2z, 2) / ABS_TOL) + 5, where the leading tail
-2 z e^(-x) of both statistics is at most e^-5 ABS_TOL.  It stays there
-without a kernel call where `distributions.cumulant_bound`, a closed-form
-bound on max_k |L_k| from the brackets' structure, times x^nu is below
-ABS_TOL / 2, the other half left for the kernel's rounding.  Elsewhere
+a direct call of the quadrature integrates it.  Both dimensions integrate
+2 u^(2 nu + 1) L_k(u^2) du in u = sqrt(x): it removes the x^(1/2) endpoint
+factor at D = 3 and widens the features near x = 0 at D = 2 (a small-q
+fermion steps at x ~ q^2, a large-q boson at x ~ q^-2).  The infinite tail
+is cut at x_max, where max_k |L_k| x^nu is below ABS_TOL; beyond it every
+L_k decays like e^(-x).  x_max starts at ln(max(2z, 2) / ABS_TOL) + 5, where
+the leading tail 2 z e^(-x) of both statistics is at most e^-5 ABS_TOL.  It
+stays there without a kernel call where `distributions.cumulant_bound`, a
+closed-form bound on max_k |L_k| from the brackets' structure, times x^nu is
+below ABS_TOL / 2, the other half left for the kernel's rounding.  Elsewhere
 (bosons at q < 1 near z = 1, fermions at large z) the kernel is probed at
 x_max, which grows by 1.25 until the probe is below ABS_TOL.
 
 Where the first order of the moments, 2 Gamma(D/2) z, is below
 ABS_TOL / REL_TOL, the absolute tolerance would bind, so `moment_integrals`
-sums the cluster expansion of `distributions.cluster_coefficients` instead;
-it falls back to the quadrature if the first omitted order is not below
-2^-56 of a.  It sums a and the excesses b - a, c - a, d - a, from which
+sums the cluster expansion of `distributions.cluster_coefficients` instead,
+and nothing else: where the first omitted order is not below 2^-56 of a it
+raises ToleranceError.  No point of a scan over both statistics, D = 2 and
+3, q from 1e-150 to 1e300 and z from 5e-324 to the boundary raised it.  It
+sums a and the excesses b - a, c - a, d - a, from which
 `geometry.curvature_from_moments` forms the curvature.  The coefficients A_n
 depend on the gas alone: `_series_weights` computes them once per
 (statistics, q, D) and keeps them, with the weights n^k - 1 of the excesses
@@ -121,8 +123,6 @@ _ORDERS = np.arange(1.0, CLUSTER_ORDER + 1.0)
 _EXCESS_WEIGHTS = np.vstack([_ORDERS ** k for k in range(4)]) - [[0.0], [1.0], [1.0], [1.0]]
 # n^3 of the last order: its term of d bounds the omitted orders
 _LAST_ORDER_CUBED = (CLUSTER_ORDER + 1.0) ** 3
-# the series route's bound on its first omitted order relative to a
-_SERIES_REL = _polylog.TAIL
 # est_error of the closed-form routes relative to the largest |moment|: the
 # polylog moments were measured within 6.3e-16 relative of mpmath, the
 # series moments within 2.1e-16 of d
@@ -130,7 +130,8 @@ _CLOSED_FORM_REL = 2.0 ** -48
 
 
 class ToleranceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A moment route failed to reach its tolerance: the adaptive quadrature,
+    or the series route's bound on its omitted orders."""
 
     def __init__(self, message, est_error):
         super().__init__(message)
@@ -315,12 +316,13 @@ def _series_weights(statistics, q, dimension):
 
 
 def _series_moments(spec, z):
-    """MomentSet from the cluster expansion, or None when its first omitted
-    order is not below 2^-56 of a.  z is in the domain (`moment_integrals`
-    checks it).  a and the excesses are summed by Horner's rule in plain
-    floats, within 1.5 ulps of the exact sums of the same weights.
-    est_error is 2^-48 of the largest |moment|, which bounds the rounding
-    and, far more than enough, the omitted orders."""
+    """MomentSet from the cluster expansion.  z is in the domain
+    (`moment_integrals` checks it).  a and the excesses are summed by
+    Horner's rule in plain floats, within 1.5 ulps of the exact sums of the
+    same weights.  est_error is 2^-48 of the largest |moment|, which bounds
+    the rounding and, far more than enough, the omitted orders.  Raises
+    ToleranceError, carrying the first omitted order of d, where that order
+    is not below 2^-56 (`_polylog.TAIL`) of a."""
     rows, last = _series_weights(spec.statistics, spec.q, spec.dimension)
     a = eb = ec = ed = 0.0
     for wa, wb, wc, wd in rows:
@@ -328,8 +330,13 @@ def _series_moments(spec, z):
         eb = (eb + wb) * z
         ec = (ec + wc) * z
         ed = (ed + wd) * z
-    if not abs(last * z ** (CLUSTER_ORDER + 1)) * _LAST_ORDER_CUBED < _SERIES_REL * a:
-        return None
+    # both sides divided by z: a / z is near 2 Gamma(D/2), so the bound
+    # cannot underflow where z does
+    tail = abs(last * z ** CLUSTER_ORDER) * _LAST_ORDER_CUBED
+    if not tail < _polylog.TAIL * (a / z):
+        raise ToleranceError(
+            f"series route: first omitted order {tail * z:.3e} not below 2^-56 of "
+            f"a = {a:.3e} for {spec} at z = {z!r}", est_error=tail * z)
     b, c, d = a + eb, a + ec, a + ed
     est_error = _CLOSED_FORM_REL * max(abs(a), abs(b), abs(c), abs(d))
     # neval and intervals are 0 on this route
@@ -376,22 +383,20 @@ def moment_integrals(spec, z):
     * "series": where the first order of every moment, 2 Gamma(D/2) z, is
       below ABS_TOL / REL_TOL, the absolute tolerance would bind the
       quadrature, so the moments are summed from the cluster expansion
-      (`distributions.cluster_coefficients`), unless its first omitted
-      order is not below 2^-56 of a; est_error is 2^-48 of the largest
-      |moment|.
+      (`distributions.cluster_coefficients`) and no other route is tried;
+      est_error is 2^-48 of the largest |moment|.
     * "polylog": every other boson at q = 1, from the polylogarithms in
       double precision; est_error is 2^-48 of d.
     * "quadrature": adaptive quadrature in u = sqrt(x) up to x_max.
 
     Raises DomainError outside the physical domain and ToleranceError
     (carrying the achieved error estimate) if the subdivision budget is
-    exhausted before the tolerances are met.
+    exhausted before the tolerances are met, or on the series route if its
+    first omitted order is not below 2^-56 of a.
     """
     z = validate_domain(spec, z)
     if _TWO_GAMMA[spec.dimension] * z < ABS_TOL / REL_TOL:
-        moments = _series_moments(spec, z)
-        if moments is not None:
-            return moments
+        return _series_moments(spec, z)
     if spec.q == 1.0 and spec.statistics == BOSON:
         return _polylog_moments(spec, z)
     return _quadrature_moments(spec, z)

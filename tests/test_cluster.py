@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from qgasgeo import (
+    DomainError,
     GasSpec,
+    ToleranceError,
+    _polylog,
     curvature_closed_form,
     curvature_from_moments,
     curvature_sign_boundary,
@@ -228,10 +231,22 @@ class TestRouteBoundary:
         monkeypatch.setattr(quadrature, "_quadrature_moments", no_quadrature)
         assert curvature_sign_boundary(GasSpec(stat, 1.0, 3), 10.0 ** -2.3, lo, hi) == root
 
-    def test_unconverged_series_falls_back(self, monkeypatch):
-        # a first omitted order that is not below the bound sends z to quadrature
-        monkeypatch.setattr(quadrature, "_SERIES_REL", 0.0)
-        m = moment_integrals(GasSpec("boson", 1.15, 2), 1e-3)
-        assert m.route == "quadrature"
-        assert m.neval > 0
+    def test_unconverged_series_raises(self, monkeypatch):
+        # a first omitted order that is not below the bound is an error of
+        # the series route; no other route is tried
+        monkeypatch.setattr(_polylog, "TAIL", 0.0)
+        with pytest.raises(ToleranceError, match="series route"):
+            moment_integrals(GasSpec("boson", 1.15, 2), 1e-3)
+
+    @pytest.mark.parametrize("stat", ["boson", "fermion"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("z", [1e-308, 1e-310, 5e-324])
+    def test_subnormal_z_stays_on_series_route(self, stat, dim, z):
+        # where 2^-56 of a underflows, the bound divided by z still holds
+        spec = GasSpec(stat, 1.15, dim)
+        m = moment_integrals(spec, z)
+        assert m.route == "series"
+        assert m.neval == 0
+        with pytest.raises(DomainError):
+            curvature_closed_form(spec, z)
 

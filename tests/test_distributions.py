@@ -17,6 +17,7 @@ from qgasgeo import (
 )
 from qgasgeo.core import LOG_MAX
 from qgasgeo.distributions import (
+    MAX_TERMS,
     SERIES_TOL,
     BosonThetaSeries,
     _fermion_excess_sums,
@@ -79,6 +80,12 @@ class TestBosonThetaSums:
         for q in (1.0001, 0.9999):
             with pytest.raises(ConvergenceError):
                 BosonThetaSeries(1.0 - 1e-5, q)
+
+    @pytest.mark.parametrize("q", [0.99963, 1.00035])
+    def test_series_at_term_cap_still_converges(self, q):
+        # just outside the ConvergenceError band the doubling rule stops at
+        # MAX_TERMS exactly: a SERIES_TOL of 2^-56 would need more terms here
+        assert len(BosonThetaSeries(1.0 - 3.9e-5, q)._m) == MAX_TERMS
 
 
 class TestFermionHSums:
@@ -214,7 +221,7 @@ class TestKernelTruncation:
         br = np.asarray(q_bracket(m, q))
         for x in np.geomspace(1e-8, 50.0, 25):
             x = float(x)
-            k = series.cut(np.array([x]))[0]
+            k = series.cut(np.array([x]))
             with np.errstate(over="ignore"):
                 assert np.all(np.exp(-x * br[k:]) == 0.0)
             for g, v in zip(series.excess_sums(x)[0], _raw_excess_sums(z, q, x, M)):
@@ -227,6 +234,22 @@ class TestKernelTruncation:
         want = _raw_excess_sums(0.5, 1000.0, x, len(series._m))
         for g, v in zip(series.excess_sums(x)[0], want):
             assert g == pytest.approx(v, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("with_zero", [False, True])
+    @pytest.mark.parametrize("q", [0.5, 0.8, 1.15, 2.0, 1000.0])
+    @pytest.mark.parametrize("z", [0.05, 0.999])
+    def test_block_cut_is_the_longest_row_cut(self, q, z, with_zero):
+        # one head width per block: k at its smallest abscissa for q > 1 and
+        # at its largest for q < 1, in any order of the rows
+        series = BosonThetaSeries(z, q)
+        x = np.geomspace(1e-12, 60.0, 50)
+        if with_zero:
+            x = np.append(x, 0.0)
+        np.random.default_rng(7).shuffle(x)
+        k = series.cut(x)
+        assert type(k) is int
+        assert k == max(series.cut(np.array([v])) for v in x)
+        assert series.excess_sums(np.empty(0)).shape == (0, 4)
 
     @pytest.mark.parametrize("q", [0.5, 0.8, 0.99])
     @pytest.mark.parametrize("z", [0.9, 0.99])
@@ -283,7 +306,7 @@ class TestArrayKernel:
         edges = np.linspace(0.0, 60.0, 257)
         c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
         x = (c[:, None] + h[:, None] * _GK21_NODES).ravel()
-        assert len(x) * series.cut(x).max() > 4 * 2 ** 20
+        assert len(x) * series.cut(x) > 4 * MAX_TERMS
         batch = series.excess_sums(x)
         rows = np.array([series.excess_sums(float(v))[0] for v in x])
         # BLAS orders a many-row product differently from a one-row product;

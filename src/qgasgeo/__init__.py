@@ -19,13 +19,13 @@ from .core import (
     FERMION,
     DomainError,
     GasSpec,
+    ToleranceError,
     q_bracket,
     validate_domain,
 )
-from .distributions import ConvergenceError, cumulant_kernel
+from .distributions import cumulant_kernel
 from .geometry import (
     CurvatureResult,
-    DegenerateMetricError,
     MetricTensor,
     curvature_closed_form,
     curvature_from_moments,
@@ -35,12 +35,10 @@ from .geometry import (
 )
 from .quadrature import (
     MomentSet,
-    ToleranceError,
     moment_integrals,
 )
 from .virial import (
     KINDS,
-    OutOfVirialRangeError,
     alpha,
     delta,
     eta,
@@ -55,14 +53,11 @@ __all__ = [
     "BOSON",
     "FERMION",
     "KINDS",
-    "ConvergenceError",
     "CurvatureResult",
-    "DegenerateMetricError",
     "DomainError",
     "GasSpec",
     "MetricTensor",
     "MomentSet",
-    "OutOfVirialRangeError",
     "ToleranceError",
     "alpha",
     "cumulant_kernel",

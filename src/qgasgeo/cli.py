@@ -16,7 +16,7 @@ Exit codes
    that is not a finite number > 0 (no gas accepts one), --points below 2;
    also an --out that cannot be opened (it is opened before the work), or
    stdout closed by its reader
-2  domain error on every grid point
+2  every grid point failed, with a DomainError or a ToleranceError
 3  self-check failure
 
 Sweep output is CSV (default) or JSON with one row per grid point, floats
@@ -35,15 +35,14 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import __version__, checks
-from .core import BOSON, FERMION, DomainError, GasSpec, _require_positive
-from .distributions import ConvergenceError
-from .geometry import DegenerateMetricError, curvature_closed_form
-from .quadrature import REL_TOL, ToleranceError
+from .core import BOSON, FERMION, DomainError, GasSpec, ToleranceError, _require_positive
+from .geometry import curvature_closed_form
+from .quadrature import REL_TOL
 from .virial import alpha, delta, eta, zeta_fermion_d2
 
 __all__ = ["main"]
 
-_POINT_ERRORS = (DomainError, ConvergenceError, ToleranceError, DegenerateMetricError)
+_POINT_ERRORS = (DomainError, ToleranceError)
 # the one curvature normalization (twice the plain scalar curvature of g)
 _NORMALIZATION = "paper"
 

@@ -1,9 +1,14 @@
-"""Shared domain types, the deformed bracket, and parameter-domain validation.
+"""Shared domain types, the deformed bracket, parameter-domain validation, and
+the library's two failure classes.
 
 The library works in reduced units throughout: the thermal wavelength is
 lambda = sqrt(beta) (proportionality constant 1) and the container volume
 (V in three dimensions, area A in two) is 1, so every reported curvature is
 in units of lambda^D / volume and depends only on (z, q, D).
+
+A point that the library cannot answer raises one of two classes:
+DomainError when the input lies outside what a function answers for,
+ToleranceError when a route cannot reach its accuracy inside the domain.
 """
 
 import math
@@ -18,6 +23,7 @@ __all__ = [
     "FERMION",
     "DomainError",
     "GasSpec",
+    "ToleranceError",
     "bisect",
     "q_bracket",
     "validate_domain",
@@ -36,7 +42,21 @@ _BISECT_STEPS = 100
 
 
 class DomainError(ValueError):
-    """Raised when a parameter point lies outside the physical domain."""
+    """The input lies outside what the function answers for: a parameter
+    outside the physical domain, a value the function does not accept, or
+    a density outside the virial range."""
+
+
+class ToleranceError(RuntimeError):
+    """A route cannot reach its accuracy at a point inside the domain: the
+    adaptive quadrature, the series route's bound on its omitted orders,
+    the boson series' term cap, or a metric or 3x3 determinant with no
+    digit left.  est_error carries the error estimate reached, or inf where
+    the route has none."""
+
+    def __init__(self, message, est_error):
+        super().__init__(message)
+        self.est_error = est_error
 
 
 def _require_positive(value, name):

@@ -27,13 +27,13 @@ from .core import (
     LOG_MAX,
     DomainError,
     GasSpec,
+    ToleranceError,
     q_bracket,
     validate_domain,
 )
 
 __all__ = [
     "CLUSTER_ORDER",
-    "ConvergenceError",
     "cluster_coefficients",
     "cumulant_bound",
     "cumulant_kernel",
@@ -52,13 +52,6 @@ CLUSTER_ORDER = 10
 
 # e^(-t) rounds to exactly 0.0 in double precision for t >= 746.
 _EXP_ZERO = 746.0
-
-
-class ConvergenceError(RuntimeError):
-    """Boson series would need more than MAX_TERMS terms.  Raised only just
-    off q = 1 (0.99962 < q < 1.00036, q != 1) near z = 1 (1 - z <= 3.8e-5),
-    where the head length K exceeds MAX_TERMS and the x = 0 series has not
-    converged within it."""
 
 
 def _q1_sums(w):
@@ -100,7 +93,9 @@ class BosonThetaSeries:
     x > 0 only damps the terms, so M bounds the series at every abscissa.
     Only the first min(K, M) terms are built; `_m` is their range, empty
     at q = 1.  M stops at MAX_TERMS, which only a K above it reaches
-    (0.99962 < q < 1.00036): ConvergenceError then guards the memory.
+    (0.99962 < q < 1.00036, q != 1): where the x = 0 series has not
+    converged within it, which happens only near z = 1 (1 - z <= 3.8e-5),
+    ToleranceError ("boson series ...", est_error inf) guards the memory.
 
     `excess_sums` takes a scalar or a 1-D array of n abscissae and always
     returns an (n, 4) array; a scalar is one row.  The array is evaluated
@@ -144,8 +139,9 @@ class BosonThetaSeries:
             if last == 0.0 or (last < SERIES_TOL * totals[3] and last < term3(M - 2.0)):
                 break
             if M >= MAX_TERMS:
-                raise ConvergenceError(
-                    f"boson series not converged within {MAX_TERMS} terms (z = {z}, q = {q})")
+                raise ToleranceError(
+                    f"boson series not converged within {MAX_TERMS} terms (z = {z}, q = {q})",
+                    est_error=math.inf)
             M = min(2 * M, MAX_TERMS)
         K = min(K, M)
         self._m = range(K)
@@ -355,7 +351,7 @@ def cumulant_kernel(spec, z):
     L0 = ln F0, L1 = F1/F0, L2 = F2/F0 - (F1/F0)^2,
     L3 = F3/F0 - 3 (F1/F0) (F2/F0) + 2 (F1/F0)^3.
     Raises DomainError outside the physical domain (and the kernel for an
-    x not finite and >= 0) and, for bosons, ConvergenceError as
+    x not finite and >= 0) and, for bosons, ToleranceError as
     BosonThetaSeries does.
     """
     z = validate_domain(spec, z)

@@ -27,12 +27,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import DomainError, GasSpec, _require_positive, bisect
+from .core import DomainError, GasSpec, ToleranceError, _require_positive, bisect
 from .quadrature import MomentSet, moment_integrals
 
 __all__ = [
     "CurvatureResult",
-    "DegenerateMetricError",
     "MetricTensor",
     "curvature_closed_form",
     "curvature_from_moments",
@@ -49,13 +48,6 @@ _Z_MIN = math.sqrt(sys.float_info.min)
 # model does not produce anywhere in its physical domain: the closed form
 # rescales tiny moments before it forms its denominator.
 _DEGENERATE_FLOOR = 1e-300
-
-
-class DegenerateMetricError(RuntimeError):
-    """det g or the closed-form denominator vanished to rounding level, or the
-    oracle's 3x3 determinant is within rounding of its six products (the
-    oracle at small z, where those products cancel to O(z^3)), so that it
-    keeps no correct digit."""
 
 
 @dataclass(frozen=True)
@@ -140,8 +132,9 @@ def curvature_from_moments(moments):
     N and the squared denominator (order z^4) underflow from z ~ 1e-77, so
     below a = 2^-200 the moments are scaled exactly by the 2^k that brings a
     to [0.5, 1), and R (of degree -1) by 2^k.  DomainError there unless
-    z > 2^-511 and each excess is a normal float; DegenerateMetricError if
-    the denominator vanishes.
+    z > 2^-511 and each excess is a normal float; ToleranceError (est_error
+    inf) if the denominator is below 1e-300, which only a hand-built
+    MomentSet reaches.
     """
     a, b, c, d, excess = moments.a, moments.b, moments.c, moments.d, moments.excess
     spec = moments.spec
@@ -162,9 +155,9 @@ def curvature_from_moments(moments):
     p = spec.p
     denom = (p + 1.0) * a * c - p * b * b
     if abs(denom) < _DEGENERATE_FLOOR:
-        raise DegenerateMetricError(
+        raise ToleranceError(
             f"metric denominator {denom!r} below {_DEGENERATE_FLOOR} for {spec} "
-            f"at z = {moments.z}")
+            f"at z = {moments.z}", est_error=math.inf)
     R = _PREFACTOR[spec.dimension] * numerator / (denom * denom)
     return CurvatureResult(math.ldexp(R, k) if k else R, moments)
 
@@ -206,7 +199,9 @@ def determinant_curvature_oracle(spec, beta, z):
     4.7e-6 at boson D=3, q = 1.15, z = 1e-8 (1.0e-6 off), 4.7e-2 at
     z = 1e-12 (4.9e-4 off), 2.8e-3 at fermion D=2, q = 1000, z = 1e-6.
     Where |det| <= eps * S no digit is left, and the oracle raises
-    DegenerateMetricError instead of returning a value as small as 0.0.
+    ToleranceError (est_error inf) instead of returning a value as small
+    as 0.0, as it does where det g is below 1e-300: both are losses of
+    precision at small z.
     """
     beta = _require_beta(spec, beta)
     p = spec.p
@@ -222,7 +217,8 @@ def determinant_curvature_oracle(spec, beta, z):
     if not sys.float_info.min <= det_g2 < math.inf:
         raise DomainError(f"(det g)^2 = {det_g2!r} is not a normal float at beta = {beta!r}")
     if det_g < _DEGENERATE_FLOOR:
-        raise DegenerateMetricError(f"det g = {det_g!r} not positive for {spec} at z = {m.z}")
+        raise ToleranceError(f"det g = {det_g!r} not positive for {spec} at z = {m.z}",
+                             est_error=math.inf)
     M = np.array([[g11, g22, g12],
                   [db_g11, db_g22, db_g12],
                   [dg_g11, dg_g22, dg_g12]])
@@ -231,8 +227,9 @@ def determinant_curvature_oracle(spec, beta, z):
     # leading terms; at or below their rounding level det keeps no digit
     if abs(det) <= sys.float_info.epsilon * sum(
             abs(M[0, i] * M[1, j] * M[2, k]) for i, j, k in permutations(range(3))):
-        raise DegenerateMetricError(
-            f"3x3 determinant {det!r} is within rounding of its products for {spec} at z = {m.z}")
+        raise ToleranceError(
+            f"3x3 determinant {det!r} is within rounding of its products for {spec} at z = {m.z}",
+            est_error=math.inf)
     R = det / det_g2
     # convert to units lambda^D / volume with lambda^D = beta^p and volume 1;
     # all beta dependence cancels

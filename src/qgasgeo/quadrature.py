@@ -60,13 +60,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _polylog
-from .core import BOSON, GasSpec, validate_domain
+from .core import BOSON, GasSpec, ToleranceError, validate_domain
 from .distributions import CLUSTER_ORDER, cluster_coefficients, cumulant_bound, cumulant_kernel
 
 __all__ = [
     "MomentSet",
     "QuadInfo",
-    "ToleranceError",
     "moment_integrals",
     "quad_vec",
 ]
@@ -127,15 +126,6 @@ _LAST_ORDER_CUBED = (CLUSTER_ORDER + 1.0) ** 3
 # polylog moments were measured within 6.3e-16 relative of mpmath, the
 # series moments within 2.1e-16 of d
 _CLOSED_FORM_REL = 2.0 ** -48
-
-
-class ToleranceError(RuntimeError):
-    """A moment route failed to reach its tolerance: the adaptive quadrature,
-    or the series route's bound on its omitted orders."""
-
-    def __init__(self, message, est_error):
-        super().__init__(message)
-        self.est_error = est_error
 
 
 @dataclass(frozen=True, init=False)
@@ -228,9 +218,9 @@ def quad_vec(f, a, b):
     bisection: the intervals sit in a heap as (-error, lo, hi, integral);
     each step bisects the largest-error intervals (at least one, at most 128,
     until their errors exceed global_error - tol/8) with one call of f for
-    all children, and updates the global integral and error.  It stops with
-    success once there are two or more intervals and global_error < tol/8,
-    tol = max(ABS_TOL, REL_TOL |result|_max); without success once the
+    all children, and updates the global integral, its error and
+    tol = max(ABS_TOL, REL_TOL |result|_max).  After each step it stops with
+    success where global_error < tol/8, and without success where the
     global error falls below the accumulated rounding error, on a
     non-finite error, or when the interval count reaches MAX_SUBDIVISIONS.
     The tolerances and the budget are read at call time.  The returned
@@ -244,8 +234,8 @@ def quad_vec(f, a, b):
     heap = [(-global_error, a, b, ig[0])]
     neval = 21
     success = False
+    tol = max(ABS_TOL, REL_TOL * np.abs(total).max())
     while len(heap) < MAX_SUBDIVISIONS:
-        tol = max(ABS_TOL, REL_TOL * np.abs(total).max())
         popped = []
         err_sum = 0.0
         for j in range(_BATCH):
@@ -269,13 +259,12 @@ def quad_vec(f, a, b):
             rounding_error += rnd[2 * j] + rnd[2 * j + 1]
             heapq.heappush(heap, (-err[2 * j], a_j, c_j, s1))
             heapq.heappush(heap, (-err[2 * j + 1], c_j, b_j, s2))
-        if len(heap) >= 2:
-            tol = max(ABS_TOL, REL_TOL * np.abs(total).max())
-            if global_error < tol / 8:
-                success = True
-                break
-            if global_error < rounding_error:
-                break
+        tol = max(ABS_TOL, REL_TOL * np.abs(total).max())
+        if global_error < tol / 8:
+            success = True
+            break
+        if global_error < rounding_error:
+            break
         if not (math.isfinite(global_error) and math.isfinite(rounding_error)):
             break
     intervals = np.array([p[1:3] for p in heap])
@@ -391,8 +380,10 @@ def moment_integrals(spec, z):
 
     Raises DomainError outside the physical domain and ToleranceError
     (carrying the achieved error estimate) if the subdivision budget is
-    exhausted before the tolerances are met, or on the series route if its
-    first omitted order is not below 2^-56 of a.
+    exhausted before the tolerances are met, on the series route if its
+    first omitted order is not below 2^-56 of a, and for a boson whose
+    series reaches its term cap (`distributions.BosonThetaSeries`, with
+    est_error inf).
     """
     z = validate_domain(spec, z)
     if _TWO_GAMMA[spec.dimension] * z < ABS_TOL / REL_TOL:

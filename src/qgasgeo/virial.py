@@ -25,11 +25,10 @@ cross-checks it against a numerical bisection of B(q).
 
 import math
 
-from .core import BOSON, FERMION, _require_positive
+from .core import BOSON, FERMION, DomainError, _require_positive
 
 __all__ = [
     "KINDS",
-    "OutOfVirialRangeError",
     "alpha",
     "delta",
     "eta",
@@ -44,10 +43,6 @@ KINDS = tuple(_GASES)
 
 # weight c of the z^2 exchange term e^(-Lambda x)
 _EXCHANGE = {BOSON: 3.0, FERMION: 1.0}
-
-
-class OutOfVirialRangeError(ValueError):
-    """Density too large for the second-order expansion to be meaningful."""
 
 
 def _second_virial(statistics, dimension, q):
@@ -114,15 +109,16 @@ def fugacity_from_density(spec, density):
     """Second-order fugacity z(n) = n/2 + B(q) n^2 at density n = g12 / p (beta = 1).
 
     B is the coefficient of spec's gas (alpha, delta, eta or zeta).  Raises
-    OutOfVirialRangeError when the second-order term reaches half the first
-    (expansion no longer trustworthy).
+    DomainError when the second-order term reaches half the first: the
+    density lies outside the virial range, where the expansion is no longer
+    trustworthy.
     """
     _require_positive(density, "density")
     n = float(density)
     first = 0.5 * n
     second = _second_virial(spec.statistics, spec.dimension, spec.q) * n * n
     if abs(second) >= 0.5 * abs(first):
-        raise OutOfVirialRangeError(
+        raise DomainError(
             f"second-order term {second:.3e} is not small against {first:.3e}; "
             f"density {n} is outside the virial range")
     return first + second

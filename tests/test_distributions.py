@@ -9,9 +9,9 @@ import pytest
 from mpmath import mp, mpf
 
 from qgasgeo import (
-    ConvergenceError,
     DomainError,
     GasSpec,
+    ToleranceError,
     cumulant_kernel,
     q_bracket,
 )
@@ -78,12 +78,17 @@ class TestBosonThetaSums:
         # SERIES_TOL of their sum at MAX_TERMS, and so close to q = 1 the head
         # length K (about 3.5e6 at q = 1.0001) does not stop the doubling first
         for q in (1.0001, 0.9999):
-            with pytest.raises(ConvergenceError):
+            with pytest.raises(ToleranceError):
                 BosonThetaSeries(1.0 - 1e-5, q)
+
+    def test_term_cap_error_has_no_estimate(self):
+        with pytest.raises(ToleranceError, match="boson series") as info:
+            BosonThetaSeries(1.0 - 1e-5, 1.0001)
+        assert info.value.est_error == math.inf
 
     @pytest.mark.parametrize("q", [0.99963, 1.00035])
     def test_series_at_term_cap_still_converges(self, q):
-        # just outside the ConvergenceError band the doubling rule stops at
+        # just outside the term-cap band the doubling rule stops at
         # MAX_TERMS exactly: a SERIES_TOL of 2^-56 would need more terms here
         assert len(BosonThetaSeries(1.0 - 3.9e-5, q)._m) == MAX_TERMS
 

@@ -8,10 +8,10 @@ import pytest
 
 from qgasgeo import geometry
 from qgasgeo import (
-    DegenerateMetricError,
     DomainError,
     GasSpec,
     MomentSet,
+    ToleranceError,
     curvature_closed_form,
     curvature_from_moments,
     curvature_sign_boundary,
@@ -189,14 +189,14 @@ class TestDegenerateGuard:
         # 5ac = 3b^2 exactly with a=3, b=5, c=5
         spec = GasSpec("boson", 1.0, 3)
         m = MomentSet(a=3.0, b=5.0, c=5.0, d=1.0, est_error=0.0, spec=spec, z=0.5)
-        with pytest.raises(DegenerateMetricError):
+        with pytest.raises(ToleranceError):
             curvature_from_moments(m)
 
     def test_zero_denominator_d2(self):
         # 2ac = b^2 exactly with a=2, b=2, c=1
         spec = GasSpec("fermion", 1.0, 2)
         m = MomentSet(a=2.0, b=2.0, c=1.0, d=1.0, est_error=0.0, spec=spec, z=0.5)
-        with pytest.raises(DegenerateMetricError):
+        with pytest.raises(ToleranceError):
             curvature_from_moments(m)
 
 
@@ -210,7 +210,7 @@ class TestDegenerateGuard:
     def test_oracle_determinant_without_a_digit(self, stat, q, dim, z):
         # the 3x3 determinant cancelled to exactly 0.0 here (16 times R off at
         # boson D=2, z = 1e-16), and the oracle returned that quietly
-        with pytest.raises(DegenerateMetricError, match="within rounding of its products"):
+        with pytest.raises(ToleranceError, match="within rounding of its products"):
             determinant_curvature_oracle(GasSpec(stat, q, dim), 1.0, z)
 
     def test_oracle_answers_while_a_digit_is_left(self):
@@ -253,6 +253,23 @@ class TestSignBoundary:
         want = optimize.bisect(lambda q: closed_form(GasSpec("boson", q, 3), 0.05).R_reduced,
                                1.1, 1.5, xtol=1e-4)
         assert q_star == want
+
+    def test_search_through_term_cap_band_raises(self, monkeypatch):
+        # R is -0.0309 at q = 0.999 and +0.752 at q = 1.001; the third
+        # midpoint, q = 0.99975, lies in the band where the boson series
+        # reaches its term cap, and the search raises rather than return
+        spec = GasSpec("boson", 1.0, 3)
+        calls = []
+        closed_form = geometry.curvature_closed_form
+
+        def counting(spec, z):
+            calls.append(spec.q)
+            return closed_form(spec, z)
+
+        monkeypatch.setattr(geometry, "curvature_closed_form", counting)
+        with pytest.raises(ToleranceError, match="boson series"):
+            curvature_sign_boundary(spec, 1.0 - 2e-5, 0.999, 1.001)
+        assert len(calls) == 5 and calls[-1] == pytest.approx(0.99975, abs=1e-12)
 
 
 class TestHugeDeformation:

@@ -15,6 +15,15 @@ def test_star_import_resolves_every_public_name():
     assert [name for name in qgasgeo.__all__ if name not in namespace] == []
 
 
+def test_two_public_exception_classes():
+    # DomainError: the input lies outside what the function answers for;
+    # ToleranceError: a route cannot reach its accuracy inside the domain
+    errors = {name for name in qgasgeo.__all__ if name.endswith("Error")}
+    assert errors == {"DomainError", "ToleranceError"}
+    assert issubclass(qgasgeo.DomainError, ValueError)
+    assert issubclass(qgasgeo.ToleranceError, RuntimeError)
+
+
 def _run_fresh(code):
     """stdout and exit code of code in a fresh interpreter that imports from src."""
     src = os.path.dirname(os.path.dirname(qgasgeo.__file__))

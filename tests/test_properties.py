@@ -9,7 +9,9 @@ and the closed form agrees with the determinant oracle to the 1e-5 of
 in [1e-8, 1e3], `distributions.cumulant_bound` bounds max_k |L_k(x)|.
 """
 
+import importlib
 import math
+import pkgutil
 import sys
 
 import numpy as np
@@ -19,8 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import qgasgeo  # noqa: E402
 from qgasgeo import (  # noqa: E402
-    ConvergenceError,
     DomainError,
     GasSpec,
     ToleranceError,
@@ -33,6 +35,13 @@ from qgasgeo import (  # noqa: E402
     zeta_fermion_d2,
 )
 from qgasgeo.distributions import cumulant_bound, cumulant_kernel  # noqa: E402
+
+# Hypothesis mixes the literals of every loaded non-test module of the
+# project into its draws.  The full suite loads every module of the package
+# (the doctests import them all); importing them here too makes the seeded
+# draws the same whether this file runs alone or with the rest.
+for _module in pkgutil.walk_packages(qgasgeo.__path__, "qgasgeo."):
+    importlib.import_module(_module.name)
 
 _LOG10_Q = st.floats(min_value=-3.0, max_value=3.0)
 _BOSON_Z = st.floats(min_value=1e-6, max_value=1.0 - 1e-3)
@@ -84,7 +93,7 @@ def test_curvature_properties(point):
     spec, z = point
     try:
         r = curvature_closed_form(spec, z).R_reduced
-    except (DomainError, ConvergenceError, ToleranceError):
+    except (DomainError, ToleranceError):
         return
     assert math.isfinite(r)
     assert metric_tensor(spec, 1.0, z).det > 0.0

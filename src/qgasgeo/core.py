@@ -50,9 +50,9 @@ class DomainError(ValueError):
 class ToleranceError(RuntimeError):
     """A route cannot reach its accuracy at a point inside the domain: the
     adaptive quadrature, the series route's bound on its omitted orders,
-    the boson series' term cap, or a metric or 3x3 determinant with no
-    digit left.  est_error carries the error estimate reached, or inf where
-    the route has none."""
+    the boson series' term cap, a metric or 3x3 determinant with no digit
+    left, or a bisection that meets a NaN or its step budget.  est_error
+    carries the error estimate reached, or inf where the route has none."""
 
     def __init__(self, message, est_error):
         super().__init__(message)
@@ -173,12 +173,14 @@ def bisect(f, a, b, xtol):
     halves the step dm = b - a; the midpoint a + dm replaces a whenever f
     there has the sign of f(a) (or is 0).  Returns the midpoint once f
     vanishes there or |dm| < xtol + 4 eps |midpoint|, the steps and roots of
-    scipy.optimize.bisect.  Raises RuntimeError when f returns NaN (at an end
-    or a midpoint) or after 100 halvings.
+    scipy.optimize.bisect.  Raises ToleranceError when f returns NaN at an
+    end or a midpoint (est_error inf) or after 100 halvings (est_error the
+    last |dm|).
     """
     fa, fb = f(a), f(b)
     if math.isnan(fa) or math.isnan(fb):
-        raise RuntimeError(f"bisection: f is NaN at an end of [{a!r}, {b!r}]")
+        raise ToleranceError(f"bisection: f is NaN at an end of [{a!r}, {b!r}]",
+                             est_error=math.inf)
     if fa == 0:
         return float(a)
     if fb == 0:
@@ -191,9 +193,10 @@ def bisect(f, a, b, xtol):
         xm = a + dm
         fm = f(xm)
         if math.isnan(fm):
-            raise RuntimeError(f"bisection: f({xm!r}) is NaN")
+            raise ToleranceError(f"bisection: f({xm!r}) is NaN", est_error=math.inf)
         if fm * fa >= 0:
             a = xm
         if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
             return float(xm)
-    raise RuntimeError(f"bisection not converged in {_BISECT_STEPS} steps (xtol = {xtol})")
+    raise ToleranceError(f"bisection not converged in {_BISECT_STEPS} steps (xtol = {xtol})",
+                         est_error=abs(dm))

@@ -98,11 +98,14 @@ class BosonThetaSeries:
     ToleranceError ("boson series ...", est_error inf) guards the memory.
 
     `excess_sums` takes a scalar or a 1-D array of n abscissae and always
-    returns an (n, 4) array; a scalar is one row.  The array is evaluated
-    in row blocks of at most MAX_TERMS exponentials, each in one pass: the
-    terms of all its rows are taken over the block's widest head, `cut`
-    (past a row's own k(x) they are 0.0 at q > 1 and below 2^-56 of the
-    sum at q < 1), and one matrix product with the weights gives the sums.
+    returns an (n, 4) array; a scalar is one row.  Each call decides its
+    head width once, `cut` of all its abscissae in plain floats, and
+    evaluates the array in one pass: the terms of all its rows are taken
+    over that widest head (past a row's own k(x) they are 0.0 at q > 1 and
+    below 2^-56 of the sum at q < 1), and one matrix product with the
+    weights gives the sums.  Only a call whose rows times that width pass
+    MAX_TERMS exponentials is split into row blocks, each taking its own
+    widest head.
     """
 
     def __init__(self, z, q):
@@ -161,20 +164,30 @@ class BosonThetaSeries:
     def cut(self, x):
         """Head length of a block of abscissae, an int, for a float array
         x >= 0 at q != 1: the longest k(x) of the block (see the class
-        docstring).  k(x) falls with x at q > 1 and rises at q < 1, so it is
-        k at the smallest abscissa for q > 1 and at the largest for q < 1.
-        At x = 0 no term vanishes: k(0) is len(_m) for q > 1 and 0 for
-        q < 1, where the sums are the totals T.
+        docstring), from one float.  k(x) falls with x at q > 1 and rises
+        at q < 1, so it is k at the smallest abscissa for q > 1 and at the
+        largest for q < 1.  At x = 0 no term vanishes: k(0) is len(_m) for
+        q > 1 and 0 for q < 1, where the sums are the totals T.  An empty
+        block has the head of x = inf at q > 1 (2) and of x = 0 at q < 1.
+        The logarithms are numpy's: where they differ in the last bit from
+        the C library's (as with AVX-512), math's would move the width of a
+        t within an ulp of an integer, and with it the product's last bits.
         """
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.q > 1.0:
-                # 746 (q^2 - 1) / x is inf at x = 0 or on overflow, and NaN
-                # for an empty block above q = 1.34e154 (inf / inf)
-                t = np.log1p(self._cut_scale / x.min(initial=math.inf)) * self._cut_rate
-            else:
-                t = max((np.log(x.max(initial=0.0)) + self._cut_log) * self._cut_rate, -2.0)
-        # min(int(t) + 2, len(_m)) for t >= -2; an inf or NaN t keeps len(_m)
-        return int(min(len(self._m) - 2, t)) + 2
+        K = len(self._m)
+        if self.q > 1.0:
+            least = float(x.min(initial=math.inf))
+            # at x = 0, or with q^2 - 1 itself overflowed, every term is kept
+            if least == 0.0 or self._cut_scale == math.inf:
+                return K
+            # 746 (q^2 - 1) / x is inf on overflow (K terms), 0.0 for an empty block
+            t = np.log1p(self._cut_scale / least) * self._cut_rate
+        else:
+            largest = float(x.max(initial=0.0))
+            if largest == 0.0:
+                return 0
+            t = max((np.log(largest) + self._cut_log) * self._cut_rate, -2.0)
+        # min(int(t) + 2, K) for t >= -2
+        return int(min(K - 2, t)) + 2
 
     def excess_sums(self, x):
         """(F0 - 1, F1, F2, F3) at x >= 0 as an (n, 4) array, one row per
@@ -182,15 +195,19 @@ class BosonThetaSeries:
         xs = _abscissae(x)
         if self.q == 1.0:
             return np.stack(_q1_sums(self.z * np.exp(-xs)), axis=1)
+        width = self.cut(xs)
         # row blocks keep the exponential matrix within MAX_TERMS elements
-        rows = MAX_TERMS // max(self.cut(xs), 1)
+        rows = MAX_TERMS // max(width, 1)
+        if len(xs) <= rows:
+            return self._block_sums(xs, width)
         out = np.empty((len(xs), 4))
         for lo in range(0, len(xs), rows):
-            out[lo:lo + rows] = self._block_sums(xs[lo:lo + rows])
+            block = xs[lo:lo + rows]
+            # the last bits of the product depend on its width: one per block
+            out[lo:lo + rows] = self._block_sums(block, self.cut(block))
         return out
 
-    def _block_sums(self, x):
-        width = self.cut(x)
+    def _block_sums(self, x, width):
         # x = 0 against {m} = inf is NaN at q > 1; those rows are replaced below.
         # Past the head of a large x, x {m} overflows to inf, and e^(-inf) = 0.
         with np.errstate(invalid="ignore", over="ignore"):

@@ -249,6 +249,10 @@ def curvature_sign_boundary(spec, z, q_lo, q_hi):
     more, one of them is.  Near q = 1 at the boson edge R changes sign
     three times: for the D = 2 boson at z = 0.999, [0.95, 1.0] gives None
     and [0.9, 1.1] gives 1.00283, one of three roots.
+
+    Raises ToleranceError where R is NaN at an end or a midpoint
+    (est_error inf) or the bisection does not converge in 100 halvings,
+    besides what `curvature_closed_form` raises at a q it visits.
     """
     return bisect(lambda q: curvature_closed_form(GasSpec(spec.statistics, q, spec.dimension),
                                                   z).R_reduced,

@@ -247,8 +247,10 @@ def quad_vec(f, a, b):
         hi = np.array([p[2] for p in popped])
         mid = 0.5 * (lo + hi)
         # children (lo_j, mid_j), (mid_j, hi_j) interleaved
-        ig, err, rnd = _gk21(f, np.column_stack((lo, mid)).ravel(),
-                             np.column_stack((mid, hi)).ravel())
+        left, right = np.empty(2 * len(popped)), np.empty(2 * len(popped))
+        left[0::2], left[1::2] = lo, mid
+        right[0::2], right[1::2] = mid, hi
+        ig, err, rnd = _gk21(f, left, right)
         neval += 42 * len(popped)
         err, rnd, mid = err.tolist(), rnd.tolist(), mid.tolist()
         for j, (neg_err, a_j, b_j, old) in enumerate(popped):

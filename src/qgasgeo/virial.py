@@ -97,12 +97,12 @@ def virial_threshold(kind):
     q* = (Lambda* - 1)^(1/2) for bosons and (Lambda* - 1)^(-1/2) for
     fermions, Lambda* = (c 2^(D/2 - 1))^(2/D): alpha (2^(1/3) - 1)^(-1/2),
     delta ((3 sqrt(2))^(2/3) - 1)^(1/2), eta sqrt(2), each within an ulp of
-    the exact root; zeta None.  Raises ValueError for any other kind.
+    the exact root; zeta None.  Raises DomainError for any other kind.
     """
     try:
         return _THRESHOLDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}") from None
+        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}") from None
 
 
 def fugacity_from_density(spec, density):

@@ -11,6 +11,7 @@ import pytest
 from qgasgeo import (
     DomainError,
     GasSpec,
+    ToleranceError,
     curvature_closed_form,
     fugacity_from_density,
     metric_tensor,
@@ -119,13 +120,16 @@ class TestBisect:
         for f in (lambda x: math.nan,
                   lambda x: math.nan if x == 1.0 else x - 0.5,
                   lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(ToleranceError, match="NaN") as info:
                 bisect(f, 0.0, 1.0, xtol=1e-6)
+            assert info.value.est_error == math.inf
 
     def test_step_budget_raises(self):
         # 100 halvings of a 1e300-wide bracket leave a step far above 4 eps |x|
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ToleranceError, match="not converged in 100 steps") as info:
             bisect(lambda x: x - 1e-300, 0.0, 1e300, xtol=0.0)
+        # the last step, 1e300 halved 100 times
+        assert info.value.est_error == 1e300 * 0.5 ** 100
 
 
 class TestGasSpec:

@@ -256,6 +256,43 @@ class TestKernelTruncation:
         assert k == max(series.cut(np.array([v])) for v in x)
         assert series.excess_sums(np.empty(0)).shape == (0, 4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q,x,want", [
+        (1.15, [], 2),
+        (0.5, [], 0),
+        (1.15, [1.0, 0.0], "K"),
+        (1.15, [5e-324], "K"),
+        (1000.0, [5e-324, 1.0], "K"),
+        (1e160, [1e-3, 1.0], "K"),
+        (1e160, [], "K"),
+        (0.5, [0.0, 0.0], 0),
+    ])
+    def test_cut_edges(self, q, x, want):
+        # the float head width at the edges that the array formula left to
+        # np.errstate: x = 0, an overflowing 746 (q^2 - 1) / x, an empty
+        # block, and q^2 - 1 = inf above q = 1.34e154
+        series = BosonThetaSeries(0.5, q)
+        x = np.array(x, dtype=float)
+        want = len(series._m) if want == "K" else want
+        assert series.cut(x) == _array_cut(series, x) == want
+
+    @pytest.mark.parametrize("q", [0.5, 0.8, 0.999, 1.001, 1.15, 1.4581597669054491, 7.0])
+    def test_cut_at_integer_head_lengths(self, q):
+        # abscissae where the unrounded head length t(x) is an integer, and
+        # their float neighbours: a last-bit change in the logarithm moves
+        # the width here, and with it the last bits of the matrix product
+        series = BosonThetaSeries(0.5, q)
+        x = []
+        for k in range(1, min(len(series._m), 150)):
+            if q > 1.0:
+                x0 = series._cut_scale / math.expm1(k / series._cut_rate)
+            else:
+                x0 = math.exp((k - 2) / series._cut_rate - series._cut_log)
+            x += [x0, math.nextafter(x0, 0.0), math.nextafter(x0, math.inf)]
+        for v in x:
+            block = np.array([v])
+            assert series.cut(block) == _array_cut(series, block)
+
     @pytest.mark.parametrize("q", [0.5, 0.8, 0.99])
     @pytest.mark.parametrize("z", [0.9, 0.99])
     def test_q_below_1_tail_matches_mpmath(self, q, z):
@@ -268,6 +305,17 @@ class TestKernelTruncation:
                                             mp.prec + mp_oracle.GUARD_BITS)
                 for g, v in zip(series.excess_sums(x)[0], want):
                     assert g == pytest.approx(float(v), rel=1e-14, abs=0.0)
+
+
+def _array_cut(series, x):
+    """The head width of a block as the numpy array formula gave it, with
+    its edges (x = 0, overflow, an empty block, inf / inf) in np.errstate."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if series.q > 1.0:
+            t = np.log1p(series._cut_scale / x.min(initial=math.inf)) * series._cut_rate
+        else:
+            t = max((np.log(x.max(initial=0.0)) + series._cut_log) * series._cut_rate, -2.0)
+    return int(min(len(series._m) - 2, t)) + 2
 
 
 def _doubling_rule_length(z, tol=SERIES_TOL):
@@ -320,6 +368,45 @@ class TestArrayKernel:
         np.testing.assert_allclose(batch, rows, rtol=tol, atol=0.0)
         kernel = cumulant_kernel(GasSpec("boson", q, 2), 0.99)
         assert kernel(x).shape == (len(x), 4)
+
+    def test_block_boundary_batch_takes_one_width_per_block(self, monkeypatch):
+        # the last bits of a product depend on its width, so each row block
+        # keeps the widest head of its own rows, not of the whole call
+        series = BosonThetaSeries(0.99, 1.001)
+        edges = np.linspace(0.0, 60.0, 257)
+        c, h = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        x = (c[:, None] + h[:, None] * _GK21_NODES).ravel()
+        rows = MAX_TERMS // series.cut(x)
+        blocks = [x[lo:lo + rows] for lo in range(0, len(x), rows)]
+        want = [(len(b), series.cut(b)) for b in blocks]
+        assert len(blocks) > 4 and len(set(w for _, w in want)) > 1
+        calls = []
+        block_sums = series._block_sums
+
+        def spy(x, width):
+            calls.append((len(x), width))
+            return block_sums(x, width)
+
+        monkeypatch.setattr(series, "_block_sums", spy)
+        series.excess_sums(x)
+        assert calls == want
+
+    @pytest.mark.parametrize("q", [0.5, 1.15, 1e160])
+    def test_one_block_call_cuts_once(self, q, monkeypatch):
+        # the head width of a one-block call is decided once, from all its rows
+        series = BosonThetaSeries(0.999, q)
+        x = np.linspace(0.0, 30.0, 42)
+        want = series.excess_sums(x)
+        calls = []
+        cut = series.cut
+
+        def spy(x):
+            calls.append(len(x))
+            return cut(x)
+
+        monkeypatch.setattr(series, "cut", spy)
+        assert series.excess_sums(x).tobytes() == want.tobytes()
+        assert calls == [42]
 
     @pytest.mark.filterwarnings("error")
     def test_batch_with_x0_and_large_x(self):

@@ -144,7 +144,7 @@ class TestThresholds:
     def test_rejects_unknown_kind(self):
         # an unhashable kind raised TypeError from the table lookup
         for kind in ("gamma", [], None):
-            with pytest.raises(ValueError, match=r"kind must be one of \("):
+            with pytest.raises(DomainError, match=r"kind must be one of \("):
                 virial_threshold(kind)
 
     @pytest.mark.parametrize("kind,stat,dim", [
